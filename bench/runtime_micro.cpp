@@ -147,14 +147,14 @@ void BM_ConvAcceleratorTile(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
-// Host interpreter: legacy tree walker vs. compiled ExecPlan
+// Host interpreter: the tree walker (the compiled executors are timed by
+// the BM_ExecPlan* benches below on the same functions)
 //===----------------------------------------------------------------------===//
 
 /// CPU-level linalg.generic matmul (the mlir_CPU baseline): every point of
 /// the M*N*K space runs through the executor, so executor overhead
-/// dominates. The IR is built and lowered once; the compiled variants also
-/// build their plan once (cached inside the Interpreter).
-void interpretMatMulCpu(benchmark::State &State, exec::ExecMode Mode) {
+/// dominates. The IR is built and lowered once.
+void BM_InterpretMatMulCpuWalker(benchmark::State &State) {
   int64_t Dims = State.range(0);
   MLIRContext Context;
   registerAllDialects(Context);
@@ -176,7 +176,7 @@ void interpretMatMulCpu(benchmark::State &State, exec::ExecMode Mode) {
   exec::fillRandom(B, 2);
   exec::fillRandom(C, 3);
 
-  exec::Interpreter Interp(*Soc, nullptr, Mode);
+  exec::Interpreter Interp(*Soc, nullptr, exec::ExecMode::Walker);
   for (auto _ : State) {
     Soc->resetCounters();
     if (failed(Interp.run(Func, {A, B, C}, Error))) {
@@ -187,20 +187,11 @@ void interpretMatMulCpu(benchmark::State &State, exec::ExecMode Mode) {
   State.SetItemsProcessed(State.iterations() * Dims * Dims * Dims);
 }
 
-void BM_InterpretMatMulCpuWalker(benchmark::State &State) {
-  interpretMatMulCpu(State, exec::ExecMode::Walker);
-}
-void BM_InterpretMatMulCpuCompiled(benchmark::State &State) {
-  interpretMatMulCpu(State, exec::ExecMode::Plan);
-}
-void BM_InterpretMatMulCpuThreaded(benchmark::State &State) {
-  interpretMatMulCpu(State, exec::ExecMode::Threaded);
-}
-
 /// Shared fixture for the axirt-level benches: one matmul func lowered
 /// through the full pipeline to axirt.* calls, plus the simulated board
 /// and filled argument buffers. Keeping this in one place guarantees the
-/// walker/compiled/fused/unfused variants all measure the same pipeline.
+/// walker/plan/threaded/fused/unfused variants all measure the same
+/// pipeline.
 struct AxirtMatMulFixture {
   MLIRContext Context;
   OwningOpRef Owner;
@@ -245,12 +236,12 @@ struct AxirtMatMulFixture {
 
 /// Fully lowered axirt form: scf loop nests driving batched DMA staging
 /// copies — the host-driver hot path the paper measures (Sec. IV-B).
-void interpretMatMulAxirt(benchmark::State &State, exec::ExecMode Mode) {
+void BM_InterpretMatMulAxirtWalker(benchmark::State &State) {
   AxirtMatMulFixture F;
   if (!F.init(State))
     return;
   std::string Error;
-  exec::Interpreter Interp(*F.Soc, F.Runtime.get(), Mode);
+  exec::Interpreter Interp(*F.Soc, F.Runtime.get(), exec::ExecMode::Walker);
   for (auto _ : State) {
     F.Soc->resetCounters();
     if (failed(Interp.run(F.Func, {F.A, F.B, F.C}, Error))) {
@@ -260,16 +251,6 @@ void interpretMatMulAxirt(benchmark::State &State, exec::ExecMode Mode) {
   }
   State.SetItemsProcessed(State.iterations() * State.range(0) *
                           State.range(0) * State.range(0));
-}
-
-void BM_InterpretMatMulAxirtWalker(benchmark::State &State) {
-  interpretMatMulAxirt(State, exec::ExecMode::Walker);
-}
-void BM_InterpretMatMulAxirtCompiled(benchmark::State &State) {
-  interpretMatMulAxirt(State, exec::ExecMode::Plan);
-}
-void BM_InterpretMatMulAxirtThreaded(benchmark::State &State) {
-  interpretMatMulAxirt(State, exec::ExecMode::Threaded);
 }
 
 /// Send/wait fusion ablation: the same axirt-lowered matmul executed from
@@ -517,11 +498,7 @@ BENCHMARK(BM_MatMulAcceleratorTile)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_MatMulAcceleratorTileWordwise)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_ConvAcceleratorTile)->Arg(4)->Arg(16);
 BENCHMARK(BM_InterpretMatMulCpuWalker)->Arg(16)->Arg(32);
-BENCHMARK(BM_InterpretMatMulCpuCompiled)->Arg(16)->Arg(32);
-BENCHMARK(BM_InterpretMatMulCpuThreaded)->Arg(16)->Arg(32);
 BENCHMARK(BM_InterpretMatMulAxirtWalker)->Arg(32)->Arg(64);
-BENCHMARK(BM_InterpretMatMulAxirtCompiled)->Arg(32)->Arg(64);
-BENCHMARK(BM_InterpretMatMulAxirtThreaded)->Arg(32)->Arg(64);
 BENCHMARK(BM_ExecPlanCpuMatMul)->Arg(16)->Arg(32);
 BENCHMARK(BM_ExecPlanCpuMatMulThreaded)->Arg(16)->Arg(32);
 BENCHMARK(BM_ExecPlanCpuConv)->Arg(16)->Arg(32);

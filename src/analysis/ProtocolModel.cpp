@@ -9,8 +9,6 @@
 #include "parser/AcceleratorConfig.h"
 #include "sim/AcceleratorModel.h"
 
-#include <algorithm>
-
 using namespace axi4mlir;
 using namespace axi4mlir::analysis;
 using namespace axi4mlir::sim::opcodes;
@@ -44,14 +42,7 @@ ProtocolModel::forAccelerator(const parser::AcceleratorDesc &Accel,
     FailureOr<MM::Version> Version = MM::versionFromName(Accel.Name, Error);
     if (failed(Version))
       return failure();
-    // Engine size from the largest configured tile, like axi4mlir-opt
-    // --run sizes the simulated board.
-    int64_t Size = 0;
-    for (int64_t Tile : Accel.AccelSize)
-      Size = std::max(Size, Tile);
-    if (Size <= 0)
-      Size = 8;
-    return matmul(*Version, Size);
+    return matmul(*Version, MM::engineSizeFor(Accel.AccelSize));
   }
   if (Accel.Kernel.find("conv") != std::string::npos)
     return conv();

@@ -48,15 +48,11 @@ LogicalResult parseExecMode(const std::string &Text, ExecMode &Mode,
     Mode = ExecMode::Walker;
     return success();
   }
-  if (Text == "plan") {
-    Mode = ExecMode::Plan;
-    return success();
-  }
   if (Text == "threaded") {
     Mode = ExecMode::Threaded;
     return success();
   }
-  Error = "unknown exec mode '" + Text + "' (expected walker|plan|threaded)";
+  Error = "unknown exec mode '" + Text + "' (expected walker|threaded)";
   return failure();
 }
 
@@ -64,8 +60,6 @@ const char *toString(ExecMode Mode) {
   switch (Mode) {
   case ExecMode::Walker:
     return "walker";
-  case ExecMode::Plan:
-    return "plan";
   case ExecMode::Threaded:
     return "threaded";
   }

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The second execution engine for compiled ExecPlans: a pre-decode stage
-/// rewrites the plan's instruction vector once per plan-cache entry into a
+/// The production execution engine for compiled ExecPlans: a pre-decode
+/// stage rewrites the plan's instruction vector once into a
 /// dispatch-ready program (dense jump-table opcodes, side-table indices and
 /// slot-pool offsets resolved to raw pointers, specialized micro-kernels
 /// bound per linalg.generic), which a token-threaded dispatch loop then
@@ -41,12 +41,12 @@
 namespace axi4mlir {
 namespace exec {
 
-/// Which executor runs a function: the legacy tree walker, the PR-3 plan
-/// interpreter (one switch per instruction), or the pre-decoded
-/// threaded-dispatch engine (the default).
-enum class ExecMode { Walker, Plan, Threaded };
+/// Which executor runs a function: the tree walker (the reference oracle)
+/// or the pre-decoded threaded-dispatch engine (the production path and
+/// the default).
+enum class ExecMode { Walker, Threaded };
 
-/// Parses "walker" | "plan" | "threaded"; sets \p Error otherwise.
+/// Parses "walker" | "threaded"; sets \p Error otherwise.
 LogicalResult parseExecMode(const std::string &Text, ExecMode &Mode,
                             std::string &Error);
 const char *toString(ExecMode Mode);

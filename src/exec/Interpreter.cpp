@@ -25,30 +25,6 @@ Interpreter::Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
                          ExecMode Mode)
     : Soc(Soc), Runtime(Runtime), Mode(Mode) {}
 
-Interpreter::Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-                         bool UseCompiledPlan)
-    : Interpreter(Soc, Runtime,
-                  UseCompiledPlan ? ExecMode::Plan : ExecMode::Walker) {}
-
-Interpreter::~Interpreter() = default;
-
-void Interpreter::setPlanOptions(const opt::PlanOptOptions &Options) {
-  PlanOptions = Options;
-  PlanCache.clear();
-}
-
-void Interpreter::setPlanCacheCapacity(size_t Capacity) {
-  PlanCacheCapacity = Capacity < 1 ? 1 : Capacity;
-  while (PlanCache.size() > PlanCacheCapacity) {
-    PlanCache.pop_back();
-    Soc.perf().onPlanCacheEviction();
-  }
-}
-
-const DecodedPlan *Interpreter::decodedPlan() const {
-  return PlanCache.empty() ? nullptr : PlanCache.front().Decoded.get();
-}
-
 LogicalResult Interpreter::run(func::FuncOp Func,
                                const std::vector<MemRefDesc> &Arguments,
                                std::string &Error) {
@@ -59,75 +35,23 @@ LogicalResult Interpreter::run(func::FuncOp Func,
     Error = "argument count mismatch calling '" + Func.getFuncName() + "'";
     return failure();
   }
-  if (Mode != ExecMode::Walker) {
-    // Compile once, execute many: plans are reused while run() keeps
-    // being called with the same, unmodified functions. The fingerprint
-    // (address + name + structural argument types + top-level op count)
-    // catches the realistic staleness cases — a recycled heap address,
-    // different workload shapes, or a pass rewriting the function in
-    // place — but a caller that mutates the body without changing any
-    // of those must use a fresh Interpreter (or compile an ExecPlan
-    // directly). The cache is a bounded LRU so a driver alternating over
-    // many functions neither thrashes on two of them (the old
-    // single-entry behaviour) nor grows without limit.
-    size_t TopLevelOps = Entry.getOperations().size();
-    auto matches = [&](const PlanCacheEntry &Cached) {
-      if (Cached.For != Func.getOperation() ||
-          Cached.TopLevelOps != TopLevelOps ||
-          Cached.Plan->funcName() != Func.getFuncName() ||
-          Cached.ArgTypes.size() != Entry.getNumArguments())
-        return false;
-      for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
-        if (!(Cached.ArgTypes[I] == Entry.getArgument(I).getType()))
-          return false;
-      return true;
-    };
-    auto Hit = PlanCache.end();
-    for (auto It = PlanCache.begin(); It != PlanCache.end(); ++It) {
-      if (matches(*It)) {
-        Hit = It;
-        break;
-      }
+  if (Mode == ExecMode::Threaded) {
+    // Compile, optimize and decode the function as it is now: nothing is
+    // reused from an earlier run, so an in-place edit can never replay a
+    // stale plan.
+    Soc.perf().onPlanCacheMiss();
+    std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
+    if (!Plan)
+      return failure();
+    opt::PlanOptStats Stats = opt::optimizePlan(*Plan, PlanOptions);
+    if (!Stats.VerifyError.empty()) {
+      // Verify-each caught a miscompile between passes: refuse to run the
+      // rejected plan.
+      Error = "plan verification failed after " + Stats.VerifyFailedPass +
+              ": " + Stats.VerifyError;
+      return failure();
     }
-    if (Hit != PlanCache.end()) {
-      Soc.perf().onPlanCacheHit();
-      PlanCache.splice(PlanCache.begin(), PlanCache, Hit);
-      OptStats = PlanCache.front().Stats;
-    } else {
-      Soc.perf().onPlanCacheMiss();
-      PlanCacheEntry Fresh;
-      Fresh.Plan = ExecPlan::compile(Func, Error);
-      if (!Fresh.Plan)
-        return failure();
-      Fresh.Stats = opt::optimizePlan(*Fresh.Plan, PlanOptions);
-      if (!Fresh.Stats.VerifyError.empty()) {
-        // Verify-each caught a miscompile between passes: refuse to cache
-        // or run the rejected plan.
-        Error = "plan verification failed after " +
-                Fresh.Stats.VerifyFailedPass + ": " +
-                Fresh.Stats.VerifyError;
-        return failure();
-      }
-      OptStats = Fresh.Stats;
-      Fresh.For = Func.getOperation();
-      Fresh.TopLevelOps = TopLevelOps;
-      for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
-        Fresh.ArgTypes.push_back(Entry.getArgument(I).getType());
-      PlanCache.push_front(std::move(Fresh));
-      while (PlanCache.size() > PlanCacheCapacity) {
-        PlanCache.pop_back();
-        Soc.perf().onPlanCacheEviction();
-      }
-    }
-    PlanCacheEntry &Active = PlanCache.front();
-    if (Mode == ExecMode::Threaded) {
-      // Decode lazily (after the optimizer has run) so a mode switch on a
-      // warm plan cache still picks up the threaded engine.
-      if (!Active.Decoded)
-        Active.Decoded = DecodedPlan::decode(*Active.Plan);
-      return Active.Decoded->run(Soc, Runtime, Arguments, Error);
-    }
-    return Active.Plan->run(Soc, Runtime, Arguments, Error);
+    return DecodedPlan::decode(*Plan)->run(Soc, Runtime, Arguments, Error);
   }
   for (unsigned I = 0; I < Arguments.size(); ++I)
     Env[Entry.getArgument(I).getImpl()] =

@@ -27,74 +27,42 @@
 #include "runtime/DmaRuntime.h"
 #include "support/LogicalResult.h"
 
-#include <list>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace axi4mlir {
 namespace exec {
 
-class ExecPlan;
-
-/// Interprets one func.func against a simulated system. By default the
-/// function is compiled once into an ExecPlan (cached across run() calls
-/// on the same function), pre-decoded into dispatch-ready form, and
-/// executed through the threaded-dispatch engine. The plan interpreter
-/// (one switch per instruction) and the legacy tree walker stay
-/// selectable through ExecMode for the equivalence tests and ablations;
-/// all three produce identical buffers and perf counters.
+/// Interprets one func.func against a simulated system. By default every
+/// run() compiles the function into an ExecPlan, runs the plan optimizer,
+/// pre-decodes the result and executes it through the threaded-dispatch
+/// engine. The tree walker stays selectable through ExecMode as the
+/// reference oracle; both produce identical buffers and perf counters.
+/// Nothing is cached across runs, so a run always executes the IR as it is
+/// at that call. Code that runs one function many times compiles and
+/// decodes the plan once itself (as serve::PlanCache does).
 class Interpreter {
 public:
   /// \p Runtime may be null for CPU-only functions (no accel/axirt ops).
   Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
               ExecMode Mode = ExecMode::Threaded);
-  /// Legacy selector kept for the walker-vs-plan call sites: true is the
-  /// plan interpreter, false the tree walker.
-  Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-              bool UseCompiledPlan);
-  ~Interpreter();
 
-  void setExecMode(ExecMode Mode) { this->Mode = Mode; }
   ExecMode execMode() const { return Mode; }
 
-  /// Legacy selector: compiled execution (the plan interpreter) vs the
-  /// tree walker. Both produce identical output buffers and counters.
-  void setUseCompiledPlan(bool Enabled) {
-    Mode = Enabled ? ExecMode::Plan : ExecMode::Walker;
+  /// Enables plan-optimizer passes (src/exec/opt) for subsequent threaded
+  /// runs. Off by default to preserve the bit-identical
+  /// threaded-vs-walker counter guarantee.
+  void setPlanOptions(const opt::PlanOptOptions &Options) {
+    PlanOptions = Options;
   }
-  bool usesCompiledPlan() const { return Mode != ExecMode::Walker; }
 
-  /// Enables plan-optimizer passes (src/exec/opt) for subsequent runs.
-  /// Off by default to preserve the bit-identical plan-vs-walker counter
-  /// guarantee. Invalidates the plan cache.
-  void setPlanOptions(const opt::PlanOptOptions &Options);
-  const opt::PlanOptOptions &planOptions() const { return PlanOptions; }
-  /// What the optimizer did to the most recently compiled plan.
-  const opt::PlanOptStats &planOptStats() const { return OptStats; }
-
-  /// Bounds the LRU plan cache (entries, >= 1). Shrinking below the
-  /// current population evicts least-recently-used entries immediately
-  /// (charged to the SoC's PlanCacheEvictions counter).
-  void setPlanCacheCapacity(size_t Capacity);
-  size_t planCacheCapacity() const { return PlanCacheCapacity; }
-  size_t planCacheSize() const { return PlanCache.size(); }
-
-  /// Runs \p Func with memref arguments bound to \p Arguments. Compiled
-  /// plans are held in a per-Interpreter LRU cache keyed by function
-  /// identity, so alternating across several functions skips
-  /// recompilation (and re-decoding in threaded mode) until the capacity
-  /// bound evicts them. Hits/misses/evictions are charged to the SoC's
-  /// HostPerfModel plan-cache counters (counters only, no cycles).
+  /// Runs \p Func with memref arguments bound to \p Arguments. A threaded
+  /// run charges one plan-cache miss to the SoC's HostPerfModel (a counter
+  /// only, no cycles) for the plan it compiles.
   LogicalResult run(func::FuncOp Func,
                     const std::vector<runtime::MemRefDesc> &Arguments,
                     std::string &Error);
-
-  /// The pre-decoded program of the most recently used cache entry, or
-  /// null until a threaded-mode run() has populated it. For introspection
-  /// (disassembly goldens, kernel-specialization counts).
-  const DecodedPlan *decodedPlan() const;
 
 private:
   /// A dynamic value: index/integer, float, or memref.
@@ -145,25 +113,6 @@ private:
   runtime::DmaRuntime *Runtime;
   ExecMode Mode;
   opt::PlanOptOptions PlanOptions;
-  opt::PlanOptStats OptStats;
-  /// One compiled function in the LRU plan cache. The fingerprint (op
-  /// address, name, structural argument types, top-level op count)
-  /// invalidates on the realistic staleness cases; callers mutating a
-  /// function body in place without changing any of those must use a
-  /// fresh Interpreter.
-  struct PlanCacheEntry {
-    std::unique_ptr<ExecPlan> Plan;
-    /// Dispatch-ready form; populated lazily in threaded mode.
-    std::unique_ptr<DecodedPlan> Decoded;
-    Operation *For = nullptr;
-    size_t TopLevelOps = 0;
-    std::vector<Type> ArgTypes;
-    opt::PlanOptStats Stats;
-  };
-  /// Most-recently-used entry at the front; evicted from the back once
-  /// the population exceeds PlanCacheCapacity.
-  std::list<PlanCacheEntry> PlanCache;
-  size_t PlanCacheCapacity = 8;
   std::map<detail::ValueImpl *, RuntimeValue> Env;
   std::string ErrorMessage;
 };

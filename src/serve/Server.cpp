@@ -147,16 +147,6 @@ double cpuEstimateMs(const sim::SoCParams &Params, const JobRequest &Request) {
   return Params.taskClockMs(Macs * 8.0 * Params.CyclesPerInstruction, 0);
 }
 
-/// Accelerator engine size for the SoC factory: the largest configured
-/// tile (the square engines store the full tile), floor 8 when the config
-/// only has sentinel entries.
-int64_t accelTileSize(const parser::AcceleratorDesc &Accel) {
-  int64_t Size = 0;
-  for (int64_t Tile : Accel.AccelSize)
-    Size = std::max(Size, Tile);
-  return Size <= 0 ? 8 : Size;
-}
-
 std::vector<MemRefDesc> makeJobBuffers(const JobRequest &Request) {
   std::vector<MemRefDesc> Args;
   if (Request.Kind == JobKind::MatMul) {
@@ -472,8 +462,9 @@ Server::AttemptResult Server::Impl::runAttempt(const JobRequest &Request,
       Result.Error = Error;
       return Result;
     }
-    Soc = sim::makeMatMulSoC(*Version, accelTileSize(*Setup.Accel),
-                             Request.Elem, Options.Params);
+    Soc = sim::makeMatMulSoC(
+        *Version, sim::MatMulAccelerator::engineSizeFor(Setup.Accel->AccelSize),
+        Request.Elem, Options.Params);
   } else {
     Soc = sim::makeConvSoC(Request.Elem, Options.Params);
   }

@@ -184,7 +184,7 @@ protected:
   bool droppingInput(size_t Count) {
     if (ErrorFlag)
       return true;
-    if (kFaultHooksEnabled && TransientPending) {
+    if (TransientPending) {
       TransientDropped += Count;
       return true;
     }

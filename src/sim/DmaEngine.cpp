@@ -101,7 +101,7 @@ AccelStatus DmaEngine::startSend(size_t Words, size_t OffsetWords) {
     Perf->onDmaTransfer(Words * 4);
     Perf->onFabricCycles(streamFabricCycles(Words));
   }
-  if (!kFaultHooksEnabled || !Injector) {
+  if (!Injector) {
     // The fault-free fast path: one burst at line rate, compute harvested
     // onto the same timeline (blocking driver).
     ActiveAccel->consumeBurst(InputRegion.data() + OffsetWords, Words);
@@ -325,7 +325,7 @@ AccelStatus DmaEngine::startRecv(size_t Words, size_t OffsetWords) {
   }
   // Results drain straight into the staging region, no intermediate copy.
   ActiveAccel->drainOutputInto(OutputRegion.data() + OffsetWords, Words);
-  if (kFaultHooksEnabled && Injector && Injector->recovery().Enabled)
+  if (Injector && Injector->recovery().Enabled)
     DrainedWords += Words;
   return status();
 }

@@ -22,8 +22,7 @@
 /// single bounded retry heal the fault.
 ///
 /// The hooks in DmaEngine / AcceleratorModel are null-pointer checks when
-/// no injector is attached, and compile out entirely with
-/// -DAXI4MLIR_FAULT_HOOKS=OFF (the bench job's A/B overhead gate).
+/// no injector is attached.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +37,6 @@
 
 namespace axi4mlir {
 namespace sim {
-
-#ifdef AXI4MLIR_DISABLE_FAULT_HOOKS
-inline constexpr bool kFaultHooksEnabled = false;
-#else
-inline constexpr bool kFaultHooksEnabled = true;
-#endif
 
 /// What goes wrong. Drop/Truncate/Corrupt are DMA-layer faults keyed by
 /// send-transfer index; TransientError/Stall are accelerator-side faults

@@ -41,7 +41,7 @@ std::unique_ptr<AcceleratorModel> AcceleratorModel::cloneFresh() const {
 }
 
 bool AcceleratorModel::opcodeFaultRefusal(uint32_t Opcode) {
-  if (!kFaultHooksEnabled || !Injector)
+  if (!Injector)
     return false;
   const FaultEvent *Event = Injector->onOpcode();
   if (!Event)
@@ -481,4 +481,12 @@ MatMulAccelerator::versionFromName(const std::string &Name,
             std::to_string(Found) + " (supported: v1-v4)";
     return failure();
   }
+}
+
+int64_t
+MatMulAccelerator::engineSizeFor(const std::vector<int64_t> &AccelSize) {
+  int64_t Size = 0;
+  for (int64_t Tile : AccelSize)
+    Size = std::max(Size, Tile);
+  return Size <= 0 ? 8 : Size;
 }

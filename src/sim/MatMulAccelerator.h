@@ -49,6 +49,13 @@ public:
   static FailureOr<Version> versionFromName(const std::string &Name,
                                             std::string &Error);
 
+  /// Engine size for an accelerator config's `accel_size` list: the
+  /// largest tile (the square engines store the full tile), or 8 when
+  /// every entry is a sentinel. The one rule behind axi4mlir-opt --run,
+  /// the serve layer's SoC pool and the static ProtocolModel, so the
+  /// verifier models the engine the simulator runs.
+  static int64_t engineSizeFor(const std::vector<int64_t> &AccelSize);
+
   void consumeWord(uint32_t Word) override;
   void consumeBurst(const uint32_t *Words, size_t Count) override;
   std::string getName() const override;

@@ -29,8 +29,7 @@ std::string PerfReport::summary() const {
   // consulted, keeping legacy summaries byte-identical.
   if (PlanCacheHits + PlanCacheMisses > 0) {
     OS << " | plan-cache " << PlanCacheHits << "/"
-       << (PlanCacheHits + PlanCacheMisses) << " hits (evictions "
-       << PlanCacheEvictions << ")";
+       << (PlanCacheHits + PlanCacheMisses) << " hits";
   }
   return OS.str();
 }
@@ -103,7 +102,6 @@ PerfReport HostPerfModel::report() const {
   Report.CpuFallbackCycles = CpuFallbackCycles;
   Report.PlanCacheHits = PlanCacheHits;
   Report.PlanCacheMisses = PlanCacheMisses;
-  Report.PlanCacheEvictions = PlanCacheEvictions;
   // Recovery work extends the modeled wall clock: backoff, polling and
   // CPU-fallback compute run on the host; replayed staging runs on the
   // fabric. All four are zero on fault-free runs, leaving TaskClockMs

@@ -7,7 +7,7 @@
 /// \file
 /// HostPerfModel accumulates the perf-style counters the paper reports
 /// (task-clock, cache-references, branch-instructions; Figs. 12 & 16) while
-/// host code executes against the simulator. The interpreter and the DMA
+/// host code executes against the simulator. The executors and the DMA
 /// runtime call the on*() hooks; benchmarks read the PerfReport.
 ///
 //===----------------------------------------------------------------------===//
@@ -56,12 +56,13 @@ struct PerfReport {
   uint64_t CpuFallbackEvents = 0;    ///< switches to host CPU execution
   double CpuFallbackCycles = 0;      ///< fallback compute (host domain)
 
-  // ExecPlan-cache telemetry (Interpreter LRU + the serve layer's shared
-  // cache). Pure counters: they charge no cycles, so runs with identical
-  // work keep identical TaskClockMs regardless of cache behaviour.
-  uint64_t PlanCacheHits = 0;      ///< compiled plan reused
-  uint64_t PlanCacheMisses = 0;    ///< plan compiled (cold or invalidated)
-  uint64_t PlanCacheEvictions = 0; ///< LRU entry dropped at capacity
+  // Compiled-plan telemetry: serve::PlanCache charges its hits and
+  // misses, and every threaded Interpreter run charges the miss of the
+  // plan it compiles. Pure counters: they charge no cycles, so runs with
+  // identical work keep identical TaskClockMs regardless of cache
+  // behaviour.
+  uint64_t PlanCacheHits = 0;   ///< compiled plan reused
+  uint64_t PlanCacheMisses = 0; ///< plan compiled
 
   std::string summary() const;
 };
@@ -162,13 +163,13 @@ public:
   void onCpuFallbackCycles(double Cycles) { CpuFallbackCycles += Cycles; }
 
   //===------------------------------------------------------------------===//
-  // Plan-cache events (Interpreter / serve plan caches). Counters only —
-  // no cycle charges, so cache behaviour never perturbs modeled time.
+  // Plan-cache events (serve::PlanCache lookups and Interpreter plan
+  // compiles). Counters only — no cycle charges, so cache behaviour never
+  // perturbs modeled time.
   //===------------------------------------------------------------------===//
 
   void onPlanCacheHit() { ++PlanCacheHits; }
   void onPlanCacheMiss() { ++PlanCacheMisses; }
-  void onPlanCacheEviction() { ++PlanCacheEvictions; }
 
   //===------------------------------------------------------------------===//
   // Reporting
@@ -206,7 +207,6 @@ private:
   double CpuFallbackCycles = 0;
   uint64_t PlanCacheHits = 0;
   uint64_t PlanCacheMisses = 0;
-  uint64_t PlanCacheEvictions = 0;
 };
 
 } // namespace sim

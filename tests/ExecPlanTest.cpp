@@ -7,10 +7,11 @@
 /// \file
 /// Proves the compile-once/execute-many ExecPlan is indistinguishable from
 /// the legacy tree-walking interpreter on all three abstraction levels
-/// (linalg.generic, accel ops, axirt runtime calls): identical output
-/// buffers AND bit-identical HostPerfModel counters. The plan is the
-/// measurement engine for every figure bench, so this equivalence is what
-/// licenses using it by default.
+/// (linalg.generic, accel ops, axirt runtime calls): the plan interpreter
+/// and the threaded engine running the pre-decoded plan both reproduce the
+/// walker's output buffers AND its HostPerfModel counters bit for bit. The
+/// threaded engine is the measurement engine for every figure bench, so
+/// this equivalence is what licenses using it by default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,15 +80,55 @@ bool lowerMatMul(func::FuncOp Func, Level L,
   return true;
 }
 
-/// The full equivalence check for one (level, shape) combination.
+/// Runs \p Func three ways — the walker, ExecPlan::run and DecodedPlan::run
+/// over one compiled plan — and expects the plan and threaded columns to
+/// reproduce the walker's buffers and counters exactly. Each run first
+/// refills argument I from seed \p Seed + I.
 ///
-/// Both executors run against the SAME SoC and the SAME argument buffers
-/// (refilled from fixed seeds, counters and cache reset between runs):
-/// the cache simulator is keyed on real host addresses, so distinct
-/// allocations would legitimately produce different line-straddle counts.
-/// A warm-up run first brings the allocator to steady state so staging
-/// buffers allocated mid-execution (pad remainders) recycle identical
-/// addresses for both executors.
+/// All executors run against the SAME SoC and the SAME argument buffers
+/// (counters and cache reset between runs): the cache simulator is keyed
+/// on real host addresses, so distinct allocations would legitimately
+/// produce different line-straddle counts. The plan is compiled and
+/// decoded before any run, and a warm-up run brings the allocator to
+/// steady state, so staging buffers allocated mid-execution (pad
+/// remainders) recycle identical addresses for every executor.
+void checkExecutorsAgree(func::FuncOp Func, sim::SoC &Soc,
+                         runtime::DmaRuntime *Runtime,
+                         std::vector<MemRefDesc> &Args, uint32_t Seed) {
+  std::string Error;
+  std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
+  ASSERT_NE(Plan, nullptr) << Error;
+  std::unique_ptr<DecodedPlan> Decoded = DecodedPlan::decode(*Plan);
+
+  auto runOnce = [&](auto Execute) -> sim::PerfReport {
+    for (size_t I = 0; I < Args.size(); ++I)
+      fillRandom(Args[I], Seed + static_cast<uint32_t>(I));
+    Soc.resetCounters();
+    std::string RunError;
+    EXPECT_TRUE(succeeded(Execute(RunError))) << RunError;
+    return Soc.report();
+  };
+  auto walker = [&](std::string &RunError) {
+    Interpreter Walker(Soc, Runtime, ExecMode::Walker);
+    return Walker.run(Func, Args, RunError);
+  };
+
+  runOnce(walker); // allocator warm-up
+  sim::PerfReport Walker = runOnce(walker);
+  MemRefDesc WalkerOut = cloneMemRef(Args.back());
+  sim::PerfReport PlanReport = runOnce([&](std::string &RunError) {
+    return Plan->run(Soc, Runtime, Args, RunError);
+  });
+  EXPECT_TRUE(memrefEquals(WalkerOut, Args.back()));
+  expectIdenticalReports(Walker, PlanReport);
+  sim::PerfReport Threaded = runOnce([&](std::string &RunError) {
+    return Decoded->run(Soc, Runtime, Args, RunError);
+  });
+  EXPECT_TRUE(memrefEquals(WalkerOut, Args.back()));
+  expectIdenticalReports(Walker, Threaded);
+}
+
+/// The full equivalence check for one (level, shape) combination.
 void checkMatMulEquivalence(Level L, int64_t M, int64_t N, int64_t K,
                             int64_t AccelSize,
                             sim::ElemKind Kind = sim::ElemKind::I32) {
@@ -109,27 +150,10 @@ void checkMatMulEquivalence(Level L, int64_t M, int64_t N, int64_t K,
   if (L != Level::Generic)
     Runtime = std::make_unique<runtime::DmaRuntime>(*Soc);
 
-  MemRefDesc A = MemRefDesc::alloc({M, K}, Kind);
-  MemRefDesc B = MemRefDesc::alloc({K, N}, Kind);
-  MemRefDesc C = MemRefDesc::alloc({M, N}, Kind);
-
-  auto runOnce = [&](bool UseCompiledPlan) -> sim::PerfReport {
-    fillRandom(A, 21);
-    fillRandom(B, 22);
-    fillRandom(C, 23);
-    Soc->resetCounters();
-    Interpreter Interp(*Soc, Runtime.get(), UseCompiledPlan);
-    std::string Error;
-    EXPECT_TRUE(succeeded(Interp.run(Func, {A, B, C}, Error))) << Error;
-    return Soc->report();
-  };
-
-  runOnce(/*UseCompiledPlan=*/false); // allocator warm-up
-  sim::PerfReport Walker = runOnce(/*UseCompiledPlan=*/false);
-  MemRefDesc WalkerC = cloneMemRef(C);
-  sim::PerfReport Plan = runOnce(/*UseCompiledPlan=*/true);
-  EXPECT_TRUE(memrefEquals(WalkerC, C));
-  expectIdenticalReports(Walker, Plan);
+  std::vector<MemRefDesc> Args = {MemRefDesc::alloc({M, K}, Kind),
+                                  MemRefDesc::alloc({K, N}, Kind),
+                                  MemRefDesc::alloc({M, N}, Kind)};
+  checkExecutorsAgree(Func, *Soc, Runtime.get(), Args, /*Seed=*/21);
 }
 
 //===----------------------------------------------------------------------===//
@@ -173,23 +197,10 @@ TEST(ExecPlan, GenericConvEquivalence) {
       << Error;
 
   auto Soc = sim::makeCpuOnlySoC();
-  MemRefDesc I = MemRefDesc::alloc({1, 3, 9, 9});
-  MemRefDesc W = MemRefDesc::alloc({2, 3, 3, 3});
-  MemRefDesc O = MemRefDesc::alloc({1, 2, 4, 4});
-  auto runOnce = [&](bool UseCompiledPlan) -> sim::PerfReport {
-    fillRandom(I, 31);
-    fillRandom(W, 32);
-    fillRandom(O, 33);
-    Soc->resetCounters();
-    Interpreter Interp(*Soc, nullptr, UseCompiledPlan);
-    EXPECT_TRUE(succeeded(Interp.run(Func, {I, W, O}, Error))) << Error;
-    return Soc->report();
-  };
-  sim::PerfReport Walker = runOnce(false);
-  MemRefDesc WalkerO = cloneMemRef(O);
-  sim::PerfReport Plan = runOnce(true);
-  EXPECT_TRUE(memrefEquals(WalkerO, O));
-  expectIdenticalReports(Walker, Plan);
+  std::vector<MemRefDesc> Args = {MemRefDesc::alloc({1, 3, 9, 9}),
+                                  MemRefDesc::alloc({2, 3, 3, 3}),
+                                  MemRefDesc::alloc({1, 2, 4, 4})};
+  checkExecutorsAgree(Func, *Soc, nullptr, Args, /*Seed=*/31);
 }
 
 //===----------------------------------------------------------------------===//
@@ -310,7 +321,7 @@ TEST(ExecPlan, DiagnosticsMatchWalker) {
 
   auto Soc = sim::makeCpuOnlySoC();
   std::string WalkerError;
-  Interpreter Walker(*Soc, nullptr, /*UseCompiledPlan=*/false);
+  Interpreter Walker(*Soc, nullptr, ExecMode::Walker);
   EXPECT_TRUE(failed(Walker.run(Func, {}, WalkerError)));
   EXPECT_EQ(PlanError, WalkerError);
 }
@@ -680,35 +691,11 @@ TEST(DecodedDisassembly, CpuConvBindsMulAddKernel) {
             "    1: ret\n");
 }
 
-/// The Interpreter exposes the pre-decoded program of its cached plan
-/// after a threaded-mode run (null before, and in other modes).
-TEST(DecodedDisassembly, InterpreterExposesDecodedPlan) {
-  MLIRContext Context;
-  registerAllDialects(Context);
-  OpBuilder Builder(&Context);
-  func::FuncOp Func = buildMatMulFunc(Builder, 4, 4, 4, sim::ElemKind::I32);
-  OwningOpRef Owner(Func.getOperation());
-  std::string Error;
-  ASSERT_TRUE(succeeded(transforms::convertNamedToGeneric(Func, Error)))
-      << Error;
-
+/// The Interpreter runs the threaded engine unless told otherwise.
+TEST(DecodedDisassembly, InterpreterDefaultsToThreaded) {
   auto Soc = sim::makeCpuOnlySoC();
-  std::vector<MemRefDesc> Args = {MemRefDesc::alloc({4, 4}),
-                                  MemRefDesc::alloc({4, 4}),
-                                  MemRefDesc::alloc({4, 4})};
-  for (size_t I = 0; I < Args.size(); ++I)
-    fillRandom(Args[I], static_cast<uint32_t>(3 + I));
-
-  Interpreter Interp(*Soc, nullptr); // defaults to ExecMode::Threaded
+  Interpreter Interp(*Soc, nullptr);
   EXPECT_EQ(Interp.execMode(), ExecMode::Threaded);
-  EXPECT_EQ(Interp.decodedPlan(), nullptr);
-  ASSERT_TRUE(succeeded(Interp.run(Func, Args, Error))) << Error;
-  ASSERT_NE(Interp.decodedPlan(), nullptr);
-  EXPECT_EQ(Interp.decodedPlan()->numSpecializedKernels(), 1u);
-
-  Interpreter PlanInterp(*Soc, nullptr, ExecMode::Plan);
-  ASSERT_TRUE(succeeded(PlanInterp.run(Func, Args, Error))) << Error;
-  EXPECT_EQ(PlanInterp.decodedPlan(), nullptr);
 }
 
 } // namespace

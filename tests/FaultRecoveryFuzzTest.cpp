@@ -7,11 +7,11 @@
 /// \file
 /// The headline pin of the self-healing runtime: for any seeded fault
 /// schedule with recovery enabled, the final buffers must be bit-identical
-/// to the fault-free run — across the walker, the compiled plan and the
-/// threaded executor — and the address-independent base counters
-/// (instructions, branches, loads/stores, fabric cycles, DMA transfers and
-/// bytes) must also be bit-identical to the fault-free run, with every
-/// cycle of recovery work visible only in the dedicated recovery counters.
+/// to the fault-free run — on both the walker and the threaded executor —
+/// and the address-independent base counters (instructions, branches,
+/// loads/stores, fabric cycles, DMA transfers and bytes) must also be
+/// bit-identical to the fault-free run, with every cycle of recovery work
+/// visible only in the dedicated recovery counters.
 /// The single exception is CPU fallback, which legitimately moves compute
 /// cycles off the fabric (FabricCycles -> CpuFallbackCycles).
 ///
@@ -39,20 +39,7 @@ using V = sim::MatMulAccelerator::Version;
 
 namespace {
 
-const ExecMode kModes[] = {ExecMode::Walker, ExecMode::Plan,
-                           ExecMode::Threaded};
-
-const char *modeName(ExecMode Mode) {
-  switch (Mode) {
-  case ExecMode::Walker:
-    return "walker";
-  case ExecMode::Plan:
-    return "plan";
-  case ExecMode::Threaded:
-    return "threaded";
-  }
-  return "?";
-}
+const ExecMode kModes[] = {ExecMode::Walker, ExecMode::Threaded};
 
 /// The recovery counter contract: the eight address-independent base
 /// counters of a healed run match the fault-free run bit for bit. CPU
@@ -102,7 +89,7 @@ MatMulRunConfig matmulConfig(ExecMode Mode) {
 sim::PerfReport checkHeals(MatMulRunConfig Config,
                            const sim::FaultPlan &Faults, unsigned Spares,
                            const std::string &Label) {
-  SCOPED_TRACE(Label + " " + modeName(Config.Exec));
+  SCOPED_TRACE(Label + " " + toString(Config.Exec));
   Config.Faults = sim::FaultPlan();
   Config.SpareAccelerators = 0;
   RunResult Clean = runMatMulAxi4mlir(Config);
@@ -129,7 +116,7 @@ sim::FaultEvent event(sim::FaultKind Kind, uint64_t At) {
 }
 
 //===----------------------------------------------------------------------===//
-// Each fault kind's detection + recovery path, on all three executors.
+// Each fault kind's detection + recovery path, on both executors.
 //===----------------------------------------------------------------------===//
 
 TEST(FaultRecovery, TransientRefusalHeals) {
@@ -297,7 +284,7 @@ TEST(FaultRecovery, NoRecoverSurfacesStructuredError) {
   Plan.Events.push_back(event(sim::FaultKind::TransientError, 2));
   Plan.Recovery.Enabled = false;
   for (ExecMode Mode : kModes) {
-    SCOPED_TRACE(modeName(Mode));
+    SCOPED_TRACE(toString(Mode));
     MatMulRunConfig Config = matmulConfig(Mode);
     Config.Faults = Plan;
     RunResult Result = runMatMulAxi4mlir(Config);
@@ -314,7 +301,7 @@ TEST(FaultRecovery, NoRecoverCorruptWordFailsFatally) {
   Plan.Events.push_back(event(sim::FaultKind::CorruptWord, 1));
   Plan.Recovery.Enabled = false;
   for (ExecMode Mode : kModes) {
-    SCOPED_TRACE(modeName(Mode));
+    SCOPED_TRACE(toString(Mode));
     MatMulRunConfig Config = matmulConfig(Mode);
     Config.Faults = Plan;
     RunResult Result = runMatMulAxi4mlir(Config);
@@ -333,7 +320,7 @@ TEST(FaultRecovery, ConvHealsAcrossExecutors) {
   Plan.Events.push_back(event(sim::FaultKind::TransientError, 3));
   Plan.Events.push_back(event(sim::FaultKind::TruncateSend, 2));
   for (ExecMode Mode : kModes) {
-    SCOPED_TRACE(std::string("conv ") + modeName(Mode));
+    SCOPED_TRACE(std::string("conv ") + toString(Mode));
     ConvRunConfig Config;
     Config.InChannels = 3;
     Config.InHW = 9;
@@ -381,7 +368,9 @@ TEST(FaultRecovery, RandomSweep) {
     Config.M = Config.AccelSize * pick(1, 3);
     Config.N = Config.AccelSize * pick(1, 3);
     Config.K = Config.AccelSize * pick(1, 3);
-    Config.Exec = kModes[pick(0, 2)];
+    // The draw stays three-way (walker on 0, threaded otherwise) so every
+    // later draw, and with it each seeded case, keeps its values.
+    Config.Exec = pick(0, 2) == 0 ? ExecMode::Walker : ExecMode::Threaded;
     uint32_t PlanSeed = static_cast<uint32_t>(pick(0, 1 << 20));
     sim::FaultPlan Plan =
         sim::makeRandomFaultPlan(PlanSeed, pick(1, 4), /*MaxIndex=*/24);

@@ -9,8 +9,10 @@
 /// every driver is executed by the legacy walker, the unoptimized plan,
 /// each optimizer pass on its own, and the full pipeline — against the
 /// SAME simulated SoC and the SAME argument buffers (refilled from fixed
-/// seeds, counters reset between runs) — and every configuration runs a
-/// third time through the threaded-dispatch executor, which must match
+/// seeds, counters reset between runs). Each configuration compiles and
+/// optimizes one plan and runs it twice: through the plan interpreter
+/// (ExecPlan::run, the exact reference for optimized plans) and through
+/// the threaded-dispatch executor (DecodedPlan::run), which must match
 /// the plan interpreter's buffers and address-independent counters bit
 /// for bit. Output buffers must be bit-identical in every configuration.
 /// Counters are held to the pass contracts (PlanOpt.h):
@@ -222,17 +224,17 @@ void checkCase(const FuzzCase &Case) {
   // diverge. Bit-identical cache counters additionally require the host
   // heap itself to be in steady state when a driver allocates staging
   // buffers mid-run (pad remainders): plan compilation, the optimizer and
-  // pre-decode churn the allocator, so each spec is measured as its own
-  // (walker warm-up, plan warm-up, threaded warm-up, walker, plan,
-  // threaded) sextuple — the warm-ups compile/decode and settle the
-  // allocator, and the measured runs are then execution-only on the
-  // same heap.
-  auto runOnce = [&](Interpreter &Interp) -> sim::PerfReport {
+  // pre-decode churn the allocator, so each spec compiles and decodes its
+  // plan first and is then measured as its own (walker warm-up, plan
+  // warm-up, threaded warm-up, walker, plan, threaded) sextuple — the
+  // warm-ups settle the allocator, and the measured runs are then
+  // execution-only on the same heap.
+  auto runOnce = [&](auto Execute) -> sim::PerfReport {
     for (size_t I = 0; I < Args.size(); ++I)
       fillRandom(Args[I], static_cast<uint32_t>(91 + I));
     Soc->resetCounters();
     std::string RunError;
-    EXPECT_TRUE(succeeded(Interp.run(Func, Args, RunError))) << RunError;
+    EXPECT_TRUE(succeeded(Execute(RunError))) << RunError;
     return Soc->report();
   };
 
@@ -265,8 +267,7 @@ void checkCase(const FuzzCase &Case) {
   }
   Specs.push_back({"all", opt::PlanOptOptions::all()});
   // Re-verify the flat plan after every optimizer pass on every spec; a
-  // rejected plan makes the interpreter run fail, which the EXPECTs in
-  // runOnce surface with the pass name and diagnostic.
+  // rejected plan fails the case with the pass name and diagnostic.
   for (PassSpec &Spec : Specs)
     Spec.Options.VerifyEach = true;
 
@@ -288,30 +289,40 @@ void checkCase(const FuzzCase &Case) {
   };
 
   for (const PassSpec &Spec : Specs) {
+    SCOPED_TRACE(Spec.Name);
+    std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
+    ASSERT_TRUE(Plan) << Error;
+    opt::PlanOptStats Stats = opt::optimizePlan(*Plan, Spec.Options);
+    ASSERT_TRUE(Stats.VerifyError.empty())
+        << "after " << Stats.VerifyFailedPass << ": " << Stats.VerifyError;
+    std::unique_ptr<DecodedPlan> Decoded = DecodedPlan::decode(*Plan);
+
     Interpreter WalkerInterp(*Soc, &Runtime, ExecMode::Walker);
-    Interpreter PlanInterp(*Soc, &Runtime, ExecMode::Plan);
-    Interpreter ThreadedInterp(*Soc, &Runtime, ExecMode::Threaded);
-    PlanInterp.setPlanOptions(Spec.Options);
-    ThreadedInterp.setPlanOptions(Spec.Options);
-    runOnce(WalkerInterp);
-    runOnce(PlanInterp);     // compiles + optimizes; plan cached
-    runOnce(ThreadedInterp); // compiles + optimizes + pre-decodes
-    sim::PerfReport Walker = runOnce(WalkerInterp);
+    auto walker = [&](std::string &RunError) {
+      return WalkerInterp.run(Func, Args, RunError);
+    };
+    auto plan = [&](std::string &RunError) {
+      return Plan->run(*Soc, &Runtime, Args, RunError);
+    };
+    auto threaded = [&](std::string &RunError) {
+      return Decoded->run(*Soc, &Runtime, Args, RunError);
+    };
+    runOnce(walker);
+    runOnce(plan);
+    runOnce(threaded);
+    sim::PerfReport Walker = runOnce(walker);
     snapshotBuffers();
-    sim::PerfReport Optimized = runOnce(PlanInterp);
+    sim::PerfReport Optimized = runOnce(plan);
     checkBuffers(Spec.Name);
     // Third column: the threaded engine executes the SAME optimized plan
     // pre-decoded; its buffers and counters must match the plan
     // interpreter bit for bit on every case, optimized or not.
     snapshotBuffers();
-    sim::PerfReport Threaded = runOnce(ThreadedInterp);
+    sim::PerfReport Threaded = runOnce(threaded);
     checkBuffers(std::string(Spec.Name) + " threaded");
     expectIdenticalReport(Optimized, Threaded,
                           std::string(Spec.Name) + " threaded-vs-plan",
                           StableAddresses);
-    const opt::PlanOptStats &Stats = PlanInterp.planOptStats();
-    EXPECT_TRUE(Stats.VerifyError.empty())
-        << "after " << Stats.VerifyFailedPass << ": " << Stats.VerifyError;
 
     if (Stats.changedCounters())
       expectImprovedReport(Walker, Optimized, Stats, Spec.Name);

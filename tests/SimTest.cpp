@@ -276,6 +276,14 @@ TEST(MatMulAccel, ResetClearsState) {
     EXPECT_EQ(static_cast<int32_t>(Word), 0); // A was cleared
 }
 
+/// The engine-size rule shared by axi4mlir-opt --run, the serve SoC pool
+/// and the static ProtocolModel: largest tile, 8 for all sentinels.
+TEST(MatMulAccel, EngineSizeFromAccelSize) {
+  EXPECT_EQ(MatMulAccelerator::engineSizeFor({4, 4, 4}), 4);
+  EXPECT_EQ(MatMulAccelerator::engineSizeFor({16, 8, 4}), 16);
+  EXPECT_EQ(MatMulAccelerator::engineSizeFor({-1, -1, -1}), 8);
+}
+
 //===----------------------------------------------------------------------===//
 // Conv accelerator
 //===----------------------------------------------------------------------===//

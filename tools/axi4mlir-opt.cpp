@@ -77,7 +77,7 @@ struct CliOptions {
   /// ExecPlan optimizer passes for --run ("none", "all" or a comma list
   /// of fold/dce/licm/coalesce).
   exec::opt::PlanOptOptions PlanOpt;
-  /// Execution engine for --run: walker, plan or threaded (default).
+  /// Execution engine for --run: walker or threaded (default).
   exec::ExecMode Exec = exec::ExecMode::Threaded;
   transforms::RemainderMode Remainder = transforms::RemainderMode::Pad;
   /// --faults spec merged over the config file's `faults` section.
@@ -101,7 +101,7 @@ void printUsage(std::FILE *Out) {
       "                    [--no-cpu-tiling] [--no-specialize]\n"
       "                    [--remainder pad|peel|reject]\n"
       "                    [--plan-opt none|all|fold,dce,licm,coalesce]\n"
-      "                    [--exec walker|plan|threaded]\n"
+      "                    [--exec walker|threaded]\n"
       "                    [--verify-plan[=strict]] [--verify-each]\n"
       "                    [--faults SPEC] [--spares N]\n"
       "  --verify-plan: statically verify the compiled plan (slot\n"
@@ -710,14 +710,9 @@ int runTool(CliOptions Options) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
-    // Size the simulated engine from the selected accelerator's largest
-    // tile (a floor of 8 here used to break --run for 4-tile configs).
-    int64_t Size = 0;
-    for (int64_t Tile : Accel.AccelSize)
-      Size = std::max(Size, Tile);
-    if (Size <= 0)
-      Size = 8;
-    Soc = sim::makeMatMulSoC(*Version, Size, Kind);
+    Soc = sim::makeMatMulSoC(
+        *Version, sim::MatMulAccelerator::engineSizeFor(Accel.AccelSize),
+        Kind);
   } else {
     Soc = sim::makeConvSoC(Kind);
   }
