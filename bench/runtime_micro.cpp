@@ -93,8 +93,8 @@ void BM_MatMulAcceleratorTile(benchmark::State &State) {
                           State.range(0) * State.range(0));
 }
 
-/// Word-at-a-time reference path of the same tile, kept measurable so the
-/// burst fast path's advantage stays visible.
+/// The same tile delivered word by word (one-word bursts), kept
+/// measurable so the ingest loop's per-burst overhead stays visible.
 void BM_MatMulAcceleratorTileWordwise(benchmark::State &State) {
   SoCParams Params;
   MatMulAccelerator Accel(MatMulAccelerator::Version::V1, State.range(0),

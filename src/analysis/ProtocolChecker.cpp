@@ -86,8 +86,8 @@ private:
     int64_t Words = 1;
     for (const std::string &Dim : Accel.Data[ArgIndex].second) {
       int64_t Tile = dimTile(Dim);
-      if (Tile <= 0)
-        return -1;
+      if (Tile <= 0 || Words > INT64_MAX / Tile)
+        return -1; // untiled, or too large to count
       Words *= Tile;
     }
     return Words;

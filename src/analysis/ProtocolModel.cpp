@@ -7,31 +7,26 @@
 #include "analysis/ProtocolModel.h"
 
 #include "parser/AcceleratorConfig.h"
-#include "sim/AcceleratorModel.h"
+#include "sim/Protocol.h"
+
+#include <algorithm>
 
 using namespace axi4mlir;
 using namespace axi4mlir::analysis;
-using namespace axi4mlir::sim::opcodes;
-
+namespace protocol = sim::protocol;
 using MM = sim::MatMulAccelerator;
 
 ProtocolModel ProtocolModel::matmul(MM::Version Ver, int64_t Size) {
   ProtocolModel M;
-  M.Eng = Engine::MatMul;
-  M.Ver = Ver;
-  M.Capacity = MM::bufferCapacityWordsFor(Ver, Size);
-  M.TileM = M.TileK = M.TileN = Size;
+  M.Table = &protocol::MatMul;
+  M.Cfg = MM::resetConfig(Ver, Size);
   return M;
 }
 
 ProtocolModel ProtocolModel::conv(int64_t MaxWindowWords) {
   ProtocolModel M;
-  M.Eng = Engine::Conv;
-  M.MaxWindowWords = MaxWindowWords;
-  // Matches ConvAccelerator::reset(): one channel, 1x1 filter until the
-  // SET_* opcodes configure the real geometry.
-  M.ConvIC = 1;
-  M.ConvFS = 1;
+  M.Table = &protocol::Conv;
+  M.Cfg = sim::ConvAccelerator::resetConfig(MaxWindowWords);
   return M;
 }
 
@@ -54,12 +49,12 @@ std::string ProtocolModel::stateDescription() const {
   switch (St) {
   case State::Idle:
     return "idle (expecting an opcode word)";
-  case State::Burst:
+  case State::Payload:
+    if (Active->Payload == protocol::Fill::Cfg)
+      return "reading configuration words";
     return "mid-burst (" + std::to_string(Remaining) +
-           " payload words outstanding for " + sim::formatOpcode(CurOpcode) +
-           ")";
-  case State::Cfg:
-    return "reading configuration words";
+           " payload words outstanding for " +
+           sim::formatOpcode(Active->Opcode) + ")";
   case State::GaveUp:
     return "untracked";
   }
@@ -67,15 +62,14 @@ std::string ProtocolModel::stateDescription() const {
 }
 
 bool ProtocolModel::operator==(const ProtocolModel &O) const {
-  return sameFsmPosition(O) && ConvAccWords == O.ConvAccWords &&
+  return sameFsmPosition(O) && SliceWords == O.SliceWords &&
          PendingOut == O.PendingOut;
 }
 
 bool ProtocolModel::sameFsmPosition(const ProtocolModel &O) const {
-  return Eng == O.Eng && St == O.St && CurOpcode == O.CurOpcode &&
-         Remaining == O.Remaining && CfgFill == O.CfgFill &&
-         TileM == O.TileM && TileK == O.TileK && TileN == O.TileN &&
-         ConvIC == O.ConvIC && ConvFS == O.ConvFS;
+  return Table == O.Table && St == O.St && Active == O.Active &&
+         Remaining == O.Remaining && StagedFill == O.StagedFill &&
+         std::equal(Staged, Staged + StagedFill, O.Staged) && Cfg == O.Cfg;
 }
 
 void ProtocolModel::extrapolateAccumulators(const ProtocolModel &AfterNext,
@@ -91,133 +85,33 @@ void ProtocolModel::extrapolateAccumulators(const ProtocolModel &AfterNext,
     return AfterOne + (TotalIters - 1) * Delta;
   };
   PendingOut = fold(PendingOut, AfterNext.PendingOut);
-  ConvAccWords = fold(ConvAccWords, AfterNext.ConvAccWords);
+  SliceWords = fold(SliceWords, AfterNext.SliceWords);
 }
 
-static std::string engineName(const ProtocolModel &M) {
-  (void)M;
-  return "accelerator";
-}
-
-std::string ProtocolModel::startMatMulOpcode(uint32_t Opcode) {
-  if (!MM::versionSupportsOpcode(Ver, Opcode))
-    return "opcode " + sim::formatOpcode(Opcode) +
-           " is not supported by this matmul version";
-  if (Opcode == MM_RESET)
-    return ""; // clears internal buffers, stays idle
-  if (Opcode == MM_CFG) {
-    St = State::Cfg;
-    CurOpcode = Opcode;
-    Remaining = MM::burstWordsFor(Opcode, TileM, TileK, TileN);
-    CfgFill = 0;
-    return "";
-  }
-  if (TileM < 0 || TileK < 0 || TileN < 0) {
-    // An untracked cfg made every burst length unknown.
-    giveUp();
-    return "";
-  }
-  int64_t Words = MM::burstWordsFor(Opcode, TileM, TileK, TileN);
-  if (Words > 0) {
-    St = State::Burst;
-    CurOpcode = Opcode;
-    Remaining = Words;
-    return "";
-  }
-  // Immediate opcode: compute and/or emit.
-  if (MM::opcodeEmitsOutput(Opcode)) {
-    if (PendingOut >= 0)
-      PendingOut += TileM * TileN;
-  }
-  return "";
-}
-
-std::string ProtocolModel::startConvOpcode(uint32_t Opcode) {
-  if (!sim::ConvAccelerator::isSupportedOpcode(Opcode))
-    return "opcode " + sim::formatOpcode(Opcode) +
-           " is not supported by the conv2d accelerator";
-  switch (Opcode) {
-  case CONV_SET_FS:
-  case CONV_SET_IC:
-    St = State::Cfg;
-    CurOpcode = Opcode;
-    Remaining = 1;
-    CfgFill = 0;
-    return "";
-  case CONV_SF:
-  case CONV_SICO: {
-    if (ConvIC < 0 || ConvFS < 0) {
-      giveUp();
-      return "";
-    }
-    St = State::Burst;
-    CurOpcode = Opcode;
-    Remaining = sim::ConvAccelerator::windowWordsFor(ConvIC, ConvFS);
-    if (Opcode == CONV_SF)
-      ConvAccWords = 0; // a new filter starts a new output slice
-    return "";
-  }
-  case CONV_RO:
-    if (PendingOut >= 0 && ConvAccWords >= 0)
-      PendingOut += ConvAccWords;
-    else
-      PendingOut = -1;
-    ConvAccWords = 0;
-    return "";
-  }
-  return "";
-}
-
-std::string ProtocolModel::finishBurst() {
-  State Was = St;
+std::string ProtocolModel::finishRow() {
+  const protocol::Row &R = *Active;
   St = State::Idle;
+  Active = nullptr;
   Remaining = 0;
-  if (Was == State::Cfg) {
-    if (Eng == Engine::MatMul) {
-      int64_t NewM = CfgWords[0], NewK = CfgWords[1], NewN = CfgWords[2];
-      if (NewM < 0 || NewK < 0 || NewN < 0) {
-        // Unknown cfg payload: tile dimensions become unknown.
-        TileM = TileK = TileN = -1;
-        return "";
-      }
-      if (NewM <= 0 || NewK <= 0 || NewN <= 0 || NewM * NewK > Capacity ||
-          NewK * NewN > Capacity || NewM * NewN > Capacity)
-        return "cfg tile " + std::to_string(NewM) + "x" +
-               std::to_string(NewK) + "x" + std::to_string(NewN) +
-               " does not fit the internal buffers (capacity " +
-               std::to_string(Capacity) + " words per operand)";
-      TileM = NewM;
-      TileK = NewK;
-      TileN = NewN;
-      return "";
+  StagedFill = 0;
+  std::string Error = protocol::complete(R, Cfg, Staged);
+  if (!Error.empty())
+    return Error;
+  // The output accounting of the row's effects.
+  auto add = [](int64_t A, int64_t B) { return A < 0 || B < 0 ? -1 : A + B; };
+  if (R.Effects & protocol::NewSlice)
+    SliceWords = 0;
+  if ((R.Effects & protocol::Compute) && Table->Acc == protocol::Output::Slice)
+    SliceWords = add(SliceWords, 1);
+  if (R.Effects & protocol::Emit) {
+    if (Table->Acc == protocol::Output::Tile) {
+      PendingOut = add(PendingOut, Cfg.TileM < 0 || Cfg.TileN < 0
+                                       ? -1
+                                       : int64_t{Cfg.TileM} * Cfg.TileN);
+    } else {
+      PendingOut = add(PendingOut, SliceWords);
+      SliceWords = 0;
     }
-    // Conv: single cfg word for SET_FS / SET_IC.
-    int64_t V = CfgWords[0];
-    if (CurOpcode == CONV_SET_FS)
-      ConvFS = V;
-    else
-      ConvIC = V;
-    if (ConvFS >= 0 && ConvIC >= 0) {
-      int64_t Window = sim::ConvAccelerator::windowWordsFor(ConvIC, ConvFS);
-      if (ConvFS <= 0 || ConvIC <= 0 || Window > MaxWindowWords)
-        return "conv2d configuration iC=" + std::to_string(ConvIC) +
-               " fS=" + std::to_string(ConvFS) +
-               " exceeds the accelerator window buffer (" +
-               std::to_string(MaxWindowWords) + " words)";
-    }
-    return "";
-  }
-  // Data burst completed.
-  if (Eng == Engine::MatMul) {
-    if (MM::opcodeEmitsOutput(CurOpcode)) {
-      if (PendingOut >= 0 && TileM >= 0 && TileN >= 0)
-        PendingOut += TileM * TileN;
-      else
-        PendingOut = -1;
-    }
-  } else if (CurOpcode == CONV_SICO) {
-    if (ConvAccWords >= 0)
-      ConvAccWords += 1;
   }
   return "";
 }
@@ -228,21 +122,36 @@ std::string ProtocolModel::feedWord(const AbstractWord &W) {
   if (St == State::Idle) {
     if (W.K != AbstractWord::Kind::Const) {
       if (W.K == AbstractWord::Kind::Data)
-        return "data word streamed while the " + engineName(*this) +
-               " expects an opcode";
-      giveUp(); // unknown word steering the FSM: stop tracking
+        return "data word streamed while the accelerator expects an opcode";
+      giveUp(); // unknown word steering the engine: stop tracking
       return "";
     }
     uint32_t Opcode = static_cast<uint32_t>(W.Value);
-    return Eng == Engine::MatMul ? startMatMulOpcode(Opcode)
-                                 : startConvOpcode(Opcode);
+    const protocol::Row *R = protocol::lookup(*Table, Cfg, Opcode);
+    if (!R)
+      return protocol::unsupportedMessage(Opcode);
+    int64_t Words = protocol::payloadWords(*R, Cfg);
+    if (Words == protocol::Unknown) {
+      // An untracked configuration made the payload length unknown.
+      giveUp();
+      return "";
+    }
+    Active = R;
+    Remaining = Words;
+    if (Words == 0)
+      return finishRow();
+    St = State::Payload;
+    return "";
   }
-  // Burst / cfg payload word.
-  if (St == State::Cfg && CfgFill < 3)
-    CfgWords[CfgFill++] =
-        W.K == AbstractWord::Kind::Const ? W.Value : -1;
+  // A payload word; cfg words are kept as the 32-bit words the wire
+  // carries.
+  if (Active->Payload == protocol::Fill::Cfg)
+    Staged[StagedFill++] =
+        W.K == AbstractWord::Kind::Const
+            ? static_cast<int64_t>(static_cast<uint32_t>(W.Value))
+            : protocol::Unknown;
   if (--Remaining == 0)
-    return finishBurst();
+    return finishRow();
   return "";
 }
 
@@ -255,34 +164,29 @@ std::string ProtocolModel::feedData(int64_t Count) {
   }
   if (St == State::Idle)
     return "data burst of " + std::to_string(Count) +
-           " words streamed while the " + engineName(*this) +
-           " expects an opcode";
-  if (St == State::Cfg) {
-    while (Count > 0 && Remaining > 0) {
+           " words streamed while the accelerator expects an opcode";
+  if (Active->Payload == protocol::Fill::Cfg) {
+    while (Count > 0 && St == State::Payload) {
       std::string E = feedWord(AbstractWord::data());
       if (!E.empty())
         return E;
       --Count;
     }
-    if (Count > 0)
-      return feedData(Count);
-    return "";
+    return feedData(Count);
   }
   if (Count > Remaining) {
-    int64_t Extra = Count - Remaining;
-    // The overrun words land on the FSM in Idle state: a burst-length /
-    // tile-dimension mismatch.
-    std::string E =
-        "burst overruns " + sim::formatOpcode(CurOpcode) + ": expected " +
-        std::to_string(Remaining) + " more payload words, got " +
-        std::to_string(Extra) + " extra";
-    Remaining = 0;
-    (void)finishBurst();
-    return E;
+    // The overrun words land on the engine while it expects an opcode: a
+    // burst-length / tile-dimension mismatch.
+    std::string E = "burst overruns " + sim::formatOpcode(Active->Opcode) +
+                    ": expected " + std::to_string(Remaining) +
+                    " more payload words, got " +
+                    std::to_string(Count - Remaining) + " extra";
+    std::string Finished = finishRow();
+    return Finished.empty() ? E : Finished;
   }
   Remaining -= Count;
   if (Remaining == 0)
-    return finishBurst();
+    return finishRow();
   return "";
 }
 

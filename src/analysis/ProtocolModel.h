@@ -5,17 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Word-accurate abstract models of the simulated accelerator FSMs
-/// (MatMul v1-v4, Conv2D), built on the static introspection hooks the
-/// real engines expose (versionSupportsOpcode / burstWordsFor /
-/// isSupportedOpcode). The protocol checker streams the words a plan or
-/// a config flow would send — each word classified as a compile-time
-/// constant, tile data, or unknown — and the model reports, statically,
-/// the mistakes that today die mid-simulation: unsupported opcodes, data
-/// streamed while the FSM expects an opcode (flow reordered after data),
-/// bursts that overrun or underrun the tile dimensions, cfg tiles that
-/// do not fit the internal buffers, and receives with no modeled output
-/// pending.
+/// Word-accurate abstract models of the simulated accelerators (MatMul
+/// v1-v4, Conv2D): an interpreter of the same per-opcode protocol tables
+/// (sim/Protocol.h) the simulator's ingest loop runs, over a
+/// configuration whose fields may be unknown. The protocol checker
+/// streams the words a plan or a config flow would send — each word
+/// classified as a compile-time constant, tile data, or unknown — and the
+/// model reports, statically, the mistakes that otherwise die
+/// mid-simulation: unsupported opcodes, data streamed while the engine
+/// expects an opcode (flow reordered after data), bursts that overrun or
+/// underrun the tile dimensions, configurations that do not fit the
+/// internal buffers, windows that do not match the loaded filter, and
+/// receives with no modeled output pending.
 ///
 /// The model is deliberately conservative: the moment a word it cannot
 /// classify lands in a position that steers the FSM (an unknown opcode
@@ -58,9 +59,11 @@ struct AbstractWord {
   static AbstractWord unknown() { return {Kind::Unknown, 0}; }
 };
 
-/// Abstract FSM over the accelerator's input stream. Feed methods return
-/// an error message ("" when the stream is still legal); once the model
-/// gives up (`gaveUp()`), further feeds are accepted silently.
+/// Abstract interpreter of an accelerator's protocol table over its
+/// input stream: a small copyable value (the verifier snapshots it per
+/// loop). Feed methods return an error message ("" when the stream is
+/// still legal); once the model gives up (`gaveUp()`), further feeds are
+/// accepted silently.
 class ProtocolModel {
 public:
   /// Builds the model matching how the tools build the simulated board:
@@ -82,9 +85,8 @@ public:
   /// Models a receive of \p Words output words (< 0 = unknown).
   std::string feedRecv(int64_t Words);
 
-  /// True when the FSM sits in Idle with no partial burst: the protocol
-  /// is at a clean boundary (loop bodies must return here to be safe to
-  /// repeat).
+  /// True when the engine expects an opcode word: the protocol is at a
+  /// clean boundary (loop bodies must return here to be safe to repeat).
   bool atOpcodeBoundary() const { return St == State::Idle; }
   /// Modeled output words awaiting a receive (-1 = unknown).
   int64_t pendingOutputWords() const { return PendingOut; }
@@ -96,11 +98,11 @@ public:
   bool operator==(const ProtocolModel &O) const;
   bool operator!=(const ProtocolModel &O) const { return !(*this == O); }
 
-  /// True when both models sit at the same FSM position with the same
-  /// configuration. The output accumulators (pending words, accumulated
-  /// conv values) are deliberately excluded: a loop body that emits
-  /// without receiving is protocol-stable even though its accumulators
-  /// grow each iteration.
+  /// True when both models sit at the same protocol position with the
+  /// same configuration. The output accumulators (pending words,
+  /// accumulated conv values) are deliberately excluded: a loop body that
+  /// emits without receiving is protocol-stable even though its
+  /// accumulators grow each iteration.
   bool sameFsmPosition(const ProtocolModel &O) const;
 
   /// Folds the per-iteration accumulator delta into this state. \p
@@ -114,31 +116,21 @@ public:
   void invalidate() { giveUp(); }
 
 private:
-  enum class Engine : uint8_t { MatMul, Conv };
-  enum class State : uint8_t { Idle, Burst, Cfg, GaveUp };
+  enum class State : uint8_t { Idle, Payload, GaveUp };
 
-  std::string startMatMulOpcode(uint32_t Opcode);
-  std::string startConvOpcode(uint32_t Opcode);
-  std::string finishBurst();
+  std::string finishRow();
   void giveUp() { St = State::GaveUp; }
 
-  Engine Eng = Engine::MatMul;
+  const sim::protocol::Engine *Table = &sim::protocol::MatMul;
+  sim::protocol::Config Cfg;
   State St = State::Idle;
-  uint32_t CurOpcode = 0;
-  int64_t Remaining = 0; ///< payload words left in the current burst
+  const sim::protocol::Row *Active = nullptr; ///< row whose payload is due
+  int64_t Remaining = 0; ///< payload words left
+  /// Cfg payload words so far (32-bit wire words or protocol::Unknown).
+  int64_t Staged[3] = {0, 0, 0};
+  int64_t StagedFill = 0;
 
-  // MatMul configuration (tiles; -1 = unknown after an untracked cfg).
-  sim::MatMulAccelerator::Version Ver = sim::MatMulAccelerator::Version::V1;
-  int64_t Capacity = 0;
-  int64_t TileM = 0, TileK = 0, TileN = 0;
-  int64_t CfgWords[3] = {0, 0, 0};
-  int64_t CfgFill = 0;
-
-  // Conv configuration.
-  int64_t MaxWindowWords = 0;
-  int64_t ConvIC = 1, ConvFS = 1; ///< -1 = unknown
-  int64_t ConvAccWords = 0;       ///< accumulated output values (-1 unknown)
-
+  int64_t SliceWords = 0; ///< accumulated slice values (-1 unknown)
   int64_t PendingOut = 0; ///< modeled output FIFO words (-1 unknown)
 };
 

@@ -12,15 +12,17 @@
 /// stream ordering, stationarity/reuse, buffer capacities and Table I
 /// throughput.
 ///
-/// Two ingest granularities are exposed. consumeWord() is the semantic
-/// reference: one FSM step per 32-bit stream word. consumeBurst() is the
-/// production datapath the DMA engine drives: whole AXI-Stream bursts
-/// absorbed at line rate (data words memcpy'd straight into the internal
-/// buffers, one FSM step per opcode instead of per word). Both must be
-/// observationally identical — same output FIFO contents, same modeled
-/// compute cycles, same error behaviour for the same stream, regardless of
-/// how the stream is split into bursts. StreamEquivalenceTest enforces
-/// this contract for every model.
+/// Each engine's protocol is a per-opcode table (sim/Protocol.h). One
+/// ingest loop, consumeBurst(), interprets it for every engine: opcode
+/// words select a row, payload words are memcpy'd straight into the
+/// engine's internal buffers at line rate, and a completed row runs its
+/// rule and then its effects through the engine's apply() hook. Engines
+/// keep only their buffers and datapath. consumeWord() is a one-word
+/// burst, so delivery granularity cannot change behaviour: the same
+/// output FIFO contents, modeled compute cycles and errors for any split
+/// of the stream. StreamEquivalenceTest enforces this, and that the
+/// static analysis::ProtocolModel, which reads the same tables, errors on
+/// the same word and predicts the same output FIFO depth.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +32,7 @@
 #include "sim/AccelStatus.h"
 #include "sim/CostModel.h"
 #include "sim/FaultInjector.h"
+#include "sim/Protocol.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -44,28 +47,6 @@ namespace sim {
 /// Element interpretation of the 32-bit stream words.
 enum class ElemKind { I32, F32 };
 
-/// Opcode literals of the micro-ISAs (the values the host streams ahead of
-/// data bursts; matmul values follow paper Fig. 6a, conv values Fig. 15a).
-namespace opcodes {
-// MatMul family (v1..v4).
-inline constexpr uint32_t MM_RESET = 0xFF;     ///< clear all buffers
-inline constexpr uint32_t MM_SASBCCRC = 0x21;  ///< v1: A,B in; C out
-inline constexpr uint32_t MM_SA = 0x22;        ///< load A tile
-inline constexpr uint32_t MM_SB = 0x23;        ///< load B tile
-inline constexpr uint32_t MM_RC = 0x24;        ///< emit C tile, clear C
-inline constexpr uint32_t MM_SB_CC_RC = 0x25;  ///< B in; compute; C out
-inline constexpr uint32_t MM_SA_CC_RC = 0x26;  ///< A in; compute; C out
-inline constexpr uint32_t MM_CC_RC = 0x27;     ///< v2: compute; C out
-inline constexpr uint32_t MM_CC = 0xF0;        ///< compute, accumulate C
-inline constexpr uint32_t MM_CFG = 0x10;       ///< v4: set tM,tK,tN
-// Conv family (paper Fig. 15a).
-inline constexpr uint32_t CONV_SF = 1;      ///< load filter slice
-inline constexpr uint32_t CONV_RO = 8;      ///< emit output slice
-inline constexpr uint32_t CONV_SET_IC = 16; ///< next word: iC
-inline constexpr uint32_t CONV_SET_FS = 32; ///< next word: fH (== fW)
-inline constexpr uint32_t CONV_SICO = 70;   ///< input window in; compute
-} // namespace opcodes
-
 /// Base class of all accelerator behavioural models. The DMA engine feeds
 /// whole bursts through consumeBurst() and collects results from the
 /// output FIFO. Compute time is accumulated in fabric cycles and harvested
@@ -74,15 +55,12 @@ class AcceleratorModel {
 public:
   virtual ~AcceleratorModel();
 
-  /// Consumes one input-stream word (opcode or data). The word-at-a-time
-  /// semantic reference.
-  virtual void consumeWord(uint32_t Word) = 0;
+  /// Consumes one input-stream word (opcode or data).
+  void consumeWord(uint32_t Word) { consumeBurst(&Word, 1); }
 
-  /// Consumes \p Count stream words as one burst. The default forwards
-  /// word by word; models override it with a fast path that absorbs data
-  /// bursts at memcpy speed. Words after a protocol error are dropped,
-  /// exactly as consumeWord() drops them.
-  virtual void consumeBurst(const uint32_t *Words, size_t Count);
+  /// Consumes \p Count stream words as one burst: the table-driven ingest
+  /// loop. Words after a protocol error are dropped.
+  void consumeBurst(const uint32_t *Words, size_t Count);
 
   /// Human-readable model name for diagnostics ("matmul_v3_16", ...).
   virtual std::string getName() const = 0;
@@ -158,6 +136,24 @@ public:
   virtual std::unique_ptr<AcceleratorModel> cloneFresh() const;
 
 protected:
+  /// The engine's protocol table.
+  virtual const protocol::Engine &protocolTable() const = 0;
+  /// The buffer a \p F payload of \p Words words lands in (cfg words, A,
+  /// B, Filter or Window), sized by the engine. Called when the payload
+  /// starts.
+  virtual uint32_t *payloadBuffer(protocol::Fill F, size_t Words) = 0;
+  /// Runs the datapath side of a completed row's protocol::Effect bits.
+  virtual void apply(uint8_t Effects) = 0;
+
+  // The ingest loop's payload plumbing, protected so tests can pin the
+  // out-of-protocol paths: called while no payload is due, each signals a
+  // diagnosable error rather than touching a buffer.
+
+  /// Copies \p Count payload words to the payload's write position.
+  void copyIn(const uint32_t *Words, size_t Count);
+  /// Completes the payload that has fully arrived.
+  void finishBurst();
+
   void pushOutput(uint32_t Word) { OutputFifo.push_back(Word); }
   void reserveOutput(size_t Words) {
     OutputFifo.reserve(OutputFifo.size() + Words);
@@ -207,10 +203,18 @@ protected:
     }
   }
 
+  /// The configuration the engine's protocol rules read.
+  protocol::Config Cfg;
+  /// The payload arriving (v1's A-then-B burst fills A, then B).
+  protocol::Fill Filling = protocol::Fill::None;
+
   std::vector<uint32_t> OutputFifo;
   size_t OutputHead = 0;
   double PendingComputeCycles = 0;
+  // The two reasons droppingInput() drops words: a sticky error, and a
+  // refused opcode not yet harvested (fault-hook state, see below).
   bool ErrorFlag = false;
+  bool TransientPending = false;
   std::string ErrorText;
   std::string LastErrorText;
   uint64_t ErrorCount = 0;
@@ -218,14 +222,24 @@ protected:
   // layer resets the model without forgetting the schedule); the pending
   // refusal/stall state does not.
   FaultInjector *Injector = nullptr;
-  bool TransientPending = false;
   size_t TransientDropped = 0;
   std::string TransientText;
   uint64_t PendingStallSteps = 0;
-};
 
-/// Formats an opcode word the way protocol dumps spell it ("0x21").
-std::string formatOpcode(uint32_t Opcode);
+private:
+  void startOpcode(uint32_t Opcode);
+  void startFill(protocol::Fill F);
+  void finishRow(const protocol::Row &R);
+  /// signalError() with the model name in front.
+  void protocolError(const std::string &Message);
+
+  // Ingest state: the row whose payload is arriving (null between
+  // opcodes), where its next word lands and how many words are still
+  // due.
+  const protocol::Row *Active = nullptr;
+  uint32_t *Dest = nullptr;
+  size_t Remaining = 0;
+};
 
 /// Bit-level conversions between stream words and element values.
 inline float wordToFloat(uint32_t Word) {

@@ -15,8 +15,8 @@
 ///   SICO, <iC*fH*fW input words>  (one window -> one output value)
 ///   RO                            (emit all accumulated output values)
 ///
-/// Filter and window bursts land directly in the internal buffers; the
-/// consumeBurst fast path absorbs them at memcpy speed.
+/// The protocol is the protocol::Conv table; filter and window bursts
+/// land directly in the internal buffers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,49 +38,39 @@ public:
   ConvAccelerator(ElemKind Kind, const SoCParams &Params,
                   int64_t MaxWindowWords = DefaultMaxWindowWords);
 
-  void consumeWord(uint32_t Word) override;
-  void consumeBurst(const uint32_t *Words, size_t Count) override;
   std::string getName() const override { return "conv2d"; }
   void reset() override;
   std::unique_ptr<AcceleratorModel> cloneFresh() const override {
-    return std::make_unique<ConvAccelerator>(Kind, Params, MaxWindowWords);
+    return std::make_unique<ConvAccelerator>(Kind, Params,
+                                             Cfg.MaxWindowWords);
   }
 
-  int64_t getInputChannels() const { return InputChannels; }
-  int64_t getFilterSize() const { return FilterSize; }
+  int64_t getInputChannels() const { return Cfg.InputChannels; }
+  int64_t getFilterSize() const { return Cfg.FilterSize; }
   uint64_t getWindowsComputed() const { return WindowsComputed; }
 
-  /// Static FSM introspection for the protocol checker (see the matching
-  /// hooks on MatMulAccelerator).
-  static bool isSupportedOpcode(uint32_t Opcode);
-  static int64_t windowWordsFor(int64_t InputChannels, int64_t FilterSize) {
-    return InputChannels * FilterSize * FilterSize;
+  /// The protocol configuration of a freshly reset engine with a window
+  /// buffer of \p MaxWindowWords words: one channel, 1x1 filter, no filter
+  /// loaded.
+  static protocol::Config resetConfig(int64_t MaxWindowWords);
+
+protected:
+  const protocol::Engine &protocolTable() const override {
+    return protocol::Conv;
   }
+  uint32_t *payloadBuffer(protocol::Fill F, size_t Words) override;
+  void apply(uint8_t Effects) override;
 
 private:
-  void startOpcode(uint32_t Opcode);
-  void finishBurst();
   template <ElemKind K> double windowDot() const;
-  int64_t windowWords() const {
-    return windowWordsFor(InputChannels, FilterSize);
-  }
 
   ElemKind Kind;
+  uint32_t CfgWord = 0; // SET_IC / SET_FS payload
   SoCParams Params;
-  int64_t MaxWindowWords;
-
-  int64_t InputChannels = 1;
-  int64_t FilterSize = 1;
 
   std::vector<uint32_t> Filter;
   std::vector<uint32_t> Window;  // input window being received
   std::vector<double> OutputAcc; // output slice values, in emission order
-
-  enum class State { Idle, ReadFilterSize, ReadInputChannels, ReadFilter,
-                     ReadWindow };
-  State St = State::Idle;
-  size_t BurstFill = 0;
-  size_t BurstExpected = 0;
 
   uint64_t WindowsComputed = 0;
 };

@@ -15,10 +15,15 @@
 /// diagnostic. Mutations go through PlanView's explicit escape hatch;
 /// nothing executes.
 ///
+/// The config-level protocol checker behind axi4mlir-lint is pinned the
+/// same way: configs broken along each protocol rule it shares with the
+/// simulator are rejected with the expected finding.
+///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/PlanVerifier.h"
 #include "analysis/PlanView.h"
+#include "analysis/ProtocolChecker.h"
 #include "analysis/ProtocolModel.h"
 #include "dialects/InitAllDialects.h"
 #include "exec/AccelConfigs.h"
@@ -29,6 +34,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 using namespace axi4mlir;
 using namespace axi4mlir::exec;
 using analysis::PlanView;
@@ -37,6 +45,27 @@ using POp = PlanView::Op;
 using Inst = PlanView::Inst;
 
 namespace {
+
+/// Lowers \p Func against \p Accel to the axirt runtime-call level and
+/// compiles the ExecPlan. Returns nullptr (with ADD_FAILURE) on any error.
+std::unique_ptr<ExecPlan> lowerAndCompile(func::FuncOp Func,
+                                          const parser::AcceleratorDesc &Accel,
+                                          bool FuseTransferPairs = true) {
+  std::string Error;
+  transforms::LoweringOptions Options;
+  Options.EnableCpuTiling = false;
+  if (failed(transforms::convertNamedToGeneric(Func, Error)) ||
+      failed(transforms::matchAndAnnotate(Func, Accel, Error)) ||
+      failed(transforms::lowerToAccel(Func, Options, Error)) ||
+      failed(transforms::convertAccelToRuntime(Func, Error))) {
+    ADD_FAILURE() << "lowering failed: " << Error;
+    return nullptr;
+  }
+  auto Plan = ExecPlan::compile(Func, Error, FuseTransferPairs);
+  if (!Plan)
+    ADD_FAILURE() << "plan compilation failed: " << Error;
+  return Plan;
+}
 
 /// Builds an 16x16x16 i32 matmul, lowers it to the axirt runtime-call
 /// level against a v3 8-tile accelerator, and compiles the ExecPlan the
@@ -51,21 +80,17 @@ std::unique_ptr<ExecPlan> compilePlan(parser::AcceleratorDesc &AccelOut,
       buildMatMulFunc(Builder, 16, 16, 16, sim::ElemKind::I32);
   OwningOpRef Owner(Func.getOperation());
   AccelOut = parseSingleAccelerator(makeMatMulConfigJson(V::V3, 8, Flow));
+  return lowerAndCompile(Func, AccelOut, FuseTransferPairs);
+}
 
-  std::string Error;
-  transforms::LoweringOptions Options;
-  Options.EnableCpuTiling = false;
-  if (failed(transforms::convertNamedToGeneric(Func, Error)) ||
-      failed(transforms::matchAndAnnotate(Func, AccelOut, Error)) ||
-      failed(transforms::lowerToAccel(Func, Options, Error)) ||
-      failed(transforms::convertAccelToRuntime(Func, Error))) {
-    ADD_FAILURE() << "lowering failed: " << Error;
-    return nullptr;
-  }
-  auto Plan = ExecPlan::compile(Func, Error, FuseTransferPairs);
-  if (!Plan)
-    ADD_FAILURE() << "plan compilation failed: " << Error;
-  return Plan;
+/// \p Text with its one occurrence of \p From replaced by \p To.
+std::string replaceOnce(std::string Text, const std::string &From,
+                        const std::string &To) {
+  size_t Pos = Text.find(From);
+  EXPECT_NE(Pos, std::string::npos) << "'" << From << "' not found";
+  if (Pos != std::string::npos)
+    Text.replace(Pos, From.size(), To);
+  return Text;
 }
 
 /// Index of the first instruction matching \p Pred, or -1.
@@ -244,6 +269,39 @@ TEST(PlanVerify, NonPositiveLoopStepRejected) {
   expectError(analysis::verifyPlan(*Plan), "not positive");
 }
 
+/// A conv flow that streams the windows before loading their filter. The
+/// engine rejects the first window at its last word (it does not match
+/// the loaded filter); the verifier must report that rule at the window's
+/// send, not only the later receive of a slice that was never computed.
+TEST(PlanVerify, WindowBeforeFilterRejectedAtTheSend) {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func =
+      buildConvFunc(Builder, 1, 4, 6, 2, 3, 1, sim::ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  parser::AcceleratorDesc Accel = parseSingleAccelerator(
+      replaceOnce(makeConvConfigJson(), "\"Os\": \"(sF (sIcO) rO)\"",
+                  "\"Os\": \"((sIcO) sF rO)\""));
+  auto Plan = lowerAndCompile(Func, Accel);
+  ASSERT_TRUE(Plan);
+  std::string ModelError;
+  auto Model = analysis::ProtocolModel::forAccelerator(Accel, ModelError);
+  ASSERT_TRUE(succeeded(Model)) << ModelError;
+  analysis::VerifyOptions Options;
+  Options.Model = &*Model;
+
+  analysis::VerifyResult Result = analysis::verifyPlan(*Plan, Options);
+  ASSERT_FALSE(Result.Errors.empty());
+  const analysis::PlanDiag &First = Result.Errors.front();
+  EXPECT_NE(First.Message.find("loaded filter"), std::string::npos)
+      << Result.toString();
+  ASSERT_GE(First.Pc, 0) << First.Message;
+  POp Code = PlanView::mutableProgram(*Plan)[First.Pc].Code;
+  EXPECT_TRUE(Code == POp::CallSendFused || Code == POp::CallStartSend)
+      << First.Message;
+}
+
 //===----------------------------------------------------------------------===//
 // Verify-each wiring: the optimizer refuses to hand back a corrupt plan
 //===----------------------------------------------------------------------===//
@@ -260,6 +318,79 @@ TEST(PlanVerify, VerifyEachReportsCorruptInput) {
   EXPECT_FALSE(Stats.VerifyFailedPass.empty());
   EXPECT_NE(Stats.VerifyError.find("holds only"), std::string::npos)
       << Stats.VerifyError;
+}
+
+//===----------------------------------------------------------------------===//
+// Config-level protocol checker (axi4mlir-lint) negatives
+//===----------------------------------------------------------------------===//
+
+/// Expects an error finding containing \p Needle; on failure prints every
+/// finding.
+void expectFinding(const analysis::ProtocolFindings &F,
+                   const std::string &Needle) {
+  std::string All;
+  for (const std::string &E : F.Errors) {
+    if (E.find(Needle) != std::string::npos)
+      return;
+    All += "error: " + E + "\n";
+  }
+  for (const std::string &W : F.Warnings)
+    All += "warning: " + W + "\n";
+  ADD_FAILURE() << "no error finding contains '" << Needle << "'; got:\n"
+                << All;
+}
+
+analysis::ProtocolFindings checkConfig(const std::string &ConfigJson) {
+  return analysis::checkConfigProtocol(parseSingleAccelerator(ConfigJson));
+}
+
+/// The checked-in lint negative (CTest pins its exit status too): a v1
+/// engine streamed the v3 micro-ISA.
+TEST(ConfigProtocol, OpcodeOutsideTheVersionRejected) {
+  std::ifstream In(std::string(AXI4MLIR_SOURCE_DIR) +
+                   "/tests/corpus/lint/matmul_v1_with_v3_opcodes.json");
+  ASSERT_TRUE(In.good());
+  std::stringstream Json;
+  Json << In.rdbuf();
+  expectFinding(checkConfig(Json.str()), "not supported");
+}
+
+TEST(ConfigProtocol, PayloadBeforeOpcodeRejected) {
+  analysis::ProtocolFindings F = checkConfig(
+      replaceOnce(makeMatMulConfigJson(V::V3, 4, "As"),
+                  "sA = [send_literal(0x22), send(0)]",
+                  "sA = [send(0), send_literal(0x22)]"));
+  expectFinding(F, "expects an opcode");
+  // Between opcodes the engine holds no trace of the last one, so the
+  // inner scope still returns to a repeatable state.
+  for (const std::string &E : F.Errors)
+    EXPECT_EQ(E.find("repeatable state"), std::string::npos) << E;
+}
+
+TEST(ConfigProtocol, LargeEnginesAreNotMisreported) {
+  // A v4 engine of size 12000 holds 16 * 12000^2 words per operand,
+  // beyond the 32-bit configuration fields: its capacity saturates rather
+  // than wrapping negative, so its own default cfg tile still fits. A
+  // 5e9-wide tile has more words than int64_t holds: the checker stops
+  // counting them instead of overflowing.
+  for (const std::string &Json :
+       {makeMatMulConfigJson(V::V4, 12000, "As"),
+        makeMatMulConfigJson(V::V3, 5000000000, "As")})
+    for (const std::string &E : checkConfig(Json).Errors)
+      ADD_FAILURE() << E;
+}
+
+TEST(ConfigProtocol, OversizedConvWindowRejected) {
+  const std::string Rst = "rst = [send_literal(32), send_dim(1, 3), "
+                          "send_literal(16), send_dim(0, 1)]";
+  // iC=300, fS=7 needs 14700 window words; and fS = 2^31-1, whose window
+  // does not fit int64, must be bounded without overflowing.
+  for (const char *Bad : {"rst = [send_literal(32), send_literal(7), "
+                          "send_literal(16), send_literal(300)]",
+                          "rst = [send_literal(32), send_literal(2147483647), "
+                          "send_literal(16), send_literal(3)]"})
+    expectFinding(checkConfig(replaceOnce(makeConvConfigJson(), Rst, Bad)),
+                  "window buffer");
 }
 
 } // namespace

@@ -318,12 +318,20 @@ TEST(ConvAccel, ComputesWindows) {
 
 TEST(ConvAccel, RejectsOversizedWindows) {
   SoCParams Params;
-  ConvAccelerator Accel(ElemKind::I32, Params, /*MaxWindowWords=*/64);
-  Accel.consumeWord(CONV_SET_FS);
-  Accel.consumeWord(3);
-  Accel.consumeWord(CONV_SET_IC);
-  Accel.consumeWord(100); // 100*9 > 64
-  EXPECT_TRUE(Accel.hadError());
+  const std::vector<std::vector<uint32_t>> Streams = {
+      {CONV_SET_FS, 3, CONV_SET_IC, 100}, // 100*9 > 64
+      // 3 * fS * fS with fS = 2^31-1 does not fit int64: the bound must
+      // still hold without overflowing.
+      {CONV_SET_IC, 3, CONV_SET_FS, 0x7FFFFFFF},
+  };
+  for (const std::vector<uint32_t> &Stream : Streams) {
+    ConvAccelerator Accel(ElemKind::I32, Params, /*MaxWindowWords=*/64);
+    for (uint32_t Word : Stream)
+      Accel.consumeWord(Word);
+    EXPECT_TRUE(Accel.hadError());
+    EXPECT_NE(Accel.errorMessage().find("window buffer"), std::string::npos)
+        << Accel.errorMessage();
+  }
 }
 
 TEST(ConvAccel, UnknownOpcode) {

@@ -9,15 +9,25 @@
 /// stream word-at-a-time, as one giant burst, or split into arbitrary
 /// randomized bursts must be observationally identical — same output FIFO
 /// contents, same modeled compute cycles (bit-equal doubles), same error
-/// behaviour. This is what licenses the DMA engine driving the memcpy
-/// fast path instead of the word-level reference FSM.
+/// behaviour. This is what licenses the DMA engine handing the ingest
+/// loop whole staged regions.
+///
+/// The same streams pin the model-vs-simulator contract: the static
+/// analysis::ProtocolModel, fed each stream word by word as constants,
+/// reports its first error on the word where the engine raises its first
+/// error, and until then predicts the engine's output FIFO depth after
+/// every word. A seeded random sweep (AXI4MLIR_FUZZ_SEED /
+/// AXI4MLIR_FUZZ_CASES widen it) extends both contracts to legal and
+/// illegal opcodes, out-of-range cfg words and mis-sized payloads.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ProtocolModel.h"
 #include "sim/SoC.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <random>
 
@@ -28,6 +38,13 @@ using namespace axi4mlir::sim::opcodes;
 namespace {
 
 using ModelFactory = std::function<std::unique_ptr<AcceleratorModel>()>;
+
+/// An engine under test: fresh simulator instances and the static
+/// protocol model of the same engine.
+struct Subject {
+  ModelFactory Make;
+  analysis::ProtocolModel Model;
+};
 
 /// Observable state after a stream has been consumed.
 struct Observation {
@@ -54,11 +71,33 @@ void expectSameObservation(const Observation &Ref, const Observation &Got,
   EXPECT_EQ(Ref.ErrorText, Got.ErrorText) << What;
 }
 
+/// The model-vs-simulator contract over \p Stream (see the file comment).
+void checkModelContract(const Subject &S,
+                        const std::vector<uint32_t> &Stream) {
+  auto Engine = S.Make();
+  analysis::ProtocolModel Model = S.Model;
+  for (size_t I = 0; I < Stream.size(); ++I) {
+    Engine->consumeWord(Stream[I]);
+    std::string ModelError =
+        Model.feedWord(analysis::AbstractWord::constant(Stream[I]));
+    ASSERT_EQ(Engine->hadError(), !ModelError.empty())
+        << "word " << I << " (" << formatOpcode(Stream[I])
+        << "): engine '" << Engine->errorMessage() << "', model '"
+        << ModelError << "'";
+    if (Engine->hadError())
+      return;
+    ASSERT_EQ(Model.pendingOutputWords(),
+              static_cast<int64_t>(Engine->outputAvailable()))
+        << "word " << I << " (" << formatOpcode(Stream[I]) << ")";
+  }
+}
+
 /// Runs \p Stream through fresh models word-at-a-time (the semantic
 /// reference), as one burst, and in randomized burst splits, and asserts
-/// identical observable behaviour.
-void checkStreamEquivalence(const ModelFactory &Make,
+/// identical observable behaviour; then checks the model contract.
+void checkStreamEquivalence(const Subject &S,
                             const std::vector<uint32_t> &Stream) {
+  const ModelFactory &Make = S.Make;
   auto WordModel = Make();
   for (uint32_t Word : Stream)
     WordModel->consumeWord(Word);
@@ -83,6 +122,8 @@ void checkStreamEquivalence(const ModelFactory &Make,
     expectSameObservation(Ref, observe(*Split),
                           "split seed " + std::to_string(Seed));
   }
+
+  checkModelContract(S, Stream);
 }
 
 /// Deterministic data words (interpreted as i32 or f32 by the model).
@@ -99,12 +140,14 @@ void appendData(std::vector<uint32_t> &Stream, size_t Count,
     Stream.push_back(dataWord(Rng, Kind));
 }
 
-ModelFactory matmulFactory(MatMulAccelerator::Version Ver, int64_t Size,
-                           ElemKind Kind) {
-  return [=] {
-    SoCParams Params;
-    return std::make_unique<MatMulAccelerator>(Ver, Size, Kind, Params);
-  };
+Subject matmulSubject(MatMulAccelerator::Version Ver, int64_t Size,
+                      ElemKind Kind) {
+  return {[=] {
+            SoCParams Params;
+            return std::make_unique<MatMulAccelerator>(Ver, Size, Kind,
+                                                       Params);
+          },
+          analysis::ProtocolModel::matmul(Ver, Size)};
 }
 
 //===----------------------------------------------------------------------===//
@@ -122,7 +165,7 @@ TEST(StreamEquivalence, MatMulV1) {
   Stream.push_back(MM_SASBCCRC);
   appendData(Stream, 2 * 8 * 8, Rng, ElemKind::I32);
   checkStreamEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V1, 8, ElemKind::I32),
+      matmulSubject(MatMulAccelerator::Version::V1, 8, ElemKind::I32),
       Stream);
 }
 
@@ -137,7 +180,7 @@ TEST(StreamEquivalence, MatMulV2) {
     Stream.push_back(MM_CC_RC);
   }
   checkStreamEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V2, 4, ElemKind::I32),
+      matmulSubject(MatMulAccelerator::Version::V2, 4, ElemKind::I32),
       Stream);
 }
 
@@ -156,7 +199,7 @@ TEST(StreamEquivalence, MatMulV3AllOpcodes) {
   Stream.push_back(MM_SA_CC_RC);
   appendData(Stream, 8 * 8, Rng, ElemKind::I32);
   checkStreamEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V3, 8, ElemKind::I32),
+      matmulSubject(MatMulAccelerator::Version::V3, 8, ElemKind::I32),
       Stream);
 }
 
@@ -169,7 +212,7 @@ TEST(StreamEquivalence, MatMulV3F32) {
   appendData(Stream, 8 * 8, Rng, ElemKind::F32);
   Stream.push_back(MM_CC_RC);
   checkStreamEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V3, 8, ElemKind::F32),
+      matmulSubject(MatMulAccelerator::Version::V3, 8, ElemKind::F32),
       Stream);
 }
 
@@ -194,7 +237,7 @@ TEST(StreamEquivalence, MatMulV4CfgResize) {
   tile(16, 16, 16);
   tile(4, 4, 64);
   checkStreamEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V4, 16, ElemKind::I32),
+      matmulSubject(MatMulAccelerator::Version::V4, 16, ElemKind::I32),
       Stream);
 }
 
@@ -209,13 +252,13 @@ TEST(StreamEquivalence, MatMulErrorBehaviour) {
   Stream.push_back(MM_SB);  // dropped
   appendData(Stream, 4 * 4, Rng, ElemKind::I32);
   checkStreamEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V3, 4, ElemKind::I32),
+      matmulSubject(MatMulAccelerator::Version::V3, 4, ElemKind::I32),
       Stream);
 
   // v4 cfg that does not fit the buffers errors inside a burst.
   std::vector<uint32_t> CfgStream = {MM_CFG, 10000, 10000, 10000, MM_SA, 1};
   checkStreamEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V4, 16, ElemKind::I32),
+      matmulSubject(MatMulAccelerator::Version::V4, 16, ElemKind::I32),
       CfgStream);
 }
 
@@ -223,11 +266,15 @@ TEST(StreamEquivalence, MatMulErrorBehaviour) {
 // Conv2D
 //===----------------------------------------------------------------------===//
 
-ModelFactory convFactory(ElemKind Kind, int64_t MaxWindowWords = 256 * 7 * 7) {
-  return [=] {
-    SoCParams Params;
-    return std::make_unique<ConvAccelerator>(Kind, Params, MaxWindowWords);
-  };
+Subject convSubject(
+    ElemKind Kind,
+    int64_t MaxWindowWords = ConvAccelerator::DefaultMaxWindowWords) {
+  return {[=] {
+            SoCParams Params;
+            return std::make_unique<ConvAccelerator>(Kind, Params,
+                                                     MaxWindowWords);
+          },
+          analysis::ProtocolModel::conv(MaxWindowWords)};
 }
 
 TEST(StreamEquivalence, ConvSlices) {
@@ -247,7 +294,7 @@ TEST(StreamEquivalence, ConvSlices) {
     }
     Stream.push_back(CONV_RO);
   }
-  checkStreamEquivalence(convFactory(ElemKind::I32), Stream);
+  checkStreamEquivalence(convSubject(ElemKind::I32), Stream);
 }
 
 TEST(StreamEquivalence, ConvF32Reconfigure) {
@@ -269,7 +316,7 @@ TEST(StreamEquivalence, ConvF32Reconfigure) {
   };
   slice(2, 3, 2);
   slice(1, 8, 4); // fHW == 1 layers (paper Sec. IV-D)
-  checkStreamEquivalence(convFactory(ElemKind::F32), Stream);
+  checkStreamEquivalence(convSubject(ElemKind::F32), Stream);
 }
 
 TEST(StreamEquivalence, ConvErrorBehaviour) {
@@ -285,7 +332,7 @@ TEST(StreamEquivalence, ConvErrorBehaviour) {
   Stream.push_back(0xDEAD); // error; the rest is dropped
   Stream.push_back(CONV_SICO);
   appendData(Stream, 8, Rng, ElemKind::I32);
-  checkStreamEquivalence(convFactory(ElemKind::I32), Stream);
+  checkStreamEquivalence(convSubject(ElemKind::I32), Stream);
 
   // Window burst that no longer matches the loaded filter (cfg changed
   // between SF and SICO).
@@ -301,7 +348,148 @@ TEST(StreamEquivalence, ConvErrorBehaviour) {
   Mismatch.push_back(CONV_SICO);
   appendData(Mismatch, 12, Rng, ElemKind::I32);
   Mismatch.push_back(CONV_RO); // dropped after the mismatch error
-  checkStreamEquivalence(convFactory(ElemKind::I32), Mismatch);
+  checkStreamEquivalence(convSubject(ElemKind::I32), Mismatch);
+}
+
+//===----------------------------------------------------------------------===//
+// Random streams
+//===----------------------------------------------------------------------===//
+
+/// One random stream for a \p Ver engine of tile \p Size (conv when \p
+/// IsConv). Half the streams are legal throughout; the other half carry
+/// one fault at a random step: an opcode of the wrong version or family,
+/// an arbitrary word, a cfg word out of range (zero, >= 2^31, too large
+/// for the buffers), a payload one to three words too long or too short,
+/// or a conv window sent without a matching filter. The stream goes on
+/// legally after the fault, so the words the engine drops are exercised
+/// too.
+std::vector<uint32_t> randomStream(std::mt19937 &Rng, bool IsConv,
+                                   MatMulAccelerator::Version Ver,
+                                   int64_t Size) {
+  auto pick = [&](int64_t Lo, int64_t Hi) {
+    return std::uniform_int_distribution<int64_t>(Lo, Hi)(Rng);
+  };
+  auto pickFrom = [&](const std::vector<uint32_t> &Ops) {
+    return Ops[static_cast<size_t>(pick(0, Ops.size() - 1))];
+  };
+  using V = MatMulAccelerator::Version;
+  // Table I: the opcodes each matmul version accepts.
+  std::vector<uint32_t> Legal = {MM_RESET};
+  if (Ver == V::V1)
+    Legal.push_back(MM_SASBCCRC);
+  else
+    Legal.insert(Legal.end(),
+                 {MM_SA, MM_SB, MM_SA_CC_RC, MM_SB_CC_RC, MM_CC_RC});
+  if (Ver == V::V3 || Ver == V::V4)
+    Legal.insert(Legal.end(), {MM_CC, MM_RC});
+  if (Ver == V::V4)
+    Legal.push_back(MM_CFG);
+  const std::vector<uint32_t> AllMatMul = {
+      MM_RESET,    MM_SASBCCRC, MM_SA,    MM_SB, MM_RC,
+      MM_SB_CC_RC, MM_SA_CC_RC, MM_CC_RC, MM_CC, MM_CFG};
+  const std::vector<uint32_t> AllConv = {CONV_SF, CONV_RO, CONV_SET_IC,
+                                         CONV_SET_FS, CONV_SICO};
+  const uint32_t WildCfg[] = {0, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu,
+                              100000};
+
+  std::vector<uint32_t> Stream;
+  int64_t Steps = pick(1, 16);
+  int64_t FaultStep = pick(0, 1) ? pick(0, Steps - 1) : -1;
+  // Geometry as the stream configured it, and whether the loaded conv
+  // filter matches it.
+  int64_t M = Size, K = Size, N = Size, IC = 1, FS = 1;
+  bool FilterLoaded = false;
+  for (int64_t Step = 0; Step < Steps; ++Step) {
+    bool Fault = Step == FaultStep;
+    int64_t Kind = Fault ? pick(0, 3) : -1; // which fault
+    uint32_t Op;
+    if (Kind == 0 && IsConv) {
+      // Reconfigure, then send a window the loaded filter cannot match.
+      IC = IC % 4 + 1;
+      Stream.insert(Stream.end(), {CONV_SET_IC, static_cast<uint32_t>(IC)});
+      Op = CONV_SICO;
+    } else if (Kind == 0)
+      Op = pickFrom(AllMatMul);
+    else if (Kind == 1)
+      Op = IsConv ? pickFrom(AllMatMul) : pickFrom(AllConv);
+    else if (Kind == 2)
+      Op = static_cast<uint32_t>(Rng());
+    else if (IsConv && !FilterLoaded && !Fault)
+      Op = pickFrom({CONV_SET_FS, CONV_SET_IC, CONV_SF});
+    else if (IsConv)
+      Op = pickFrom({CONV_SET_FS, CONV_SET_IC, CONV_SF, CONV_SICO, CONV_SICO,
+                     CONV_SICO, CONV_RO, CONV_RO});
+    else
+      Op = pickFrom(Legal);
+    Stream.push_back(Op);
+    // Kind 3 faults the payload of the legal opcode chosen above.
+    bool BadPayload = Kind == 3;
+    auto cfgWord = [&](int64_t Max) -> uint32_t {
+      return BadPayload ? WildCfg[pick(0, 4)]
+                        : static_cast<uint32_t>(pick(1, Max));
+    };
+    auto payload = [&](int64_t Words) {
+      if (BadPayload)
+        Words = pick(0, 1) ? Words + pick(1, 3)
+                           : std::max<int64_t>(0, Words - pick(1, 3));
+      appendData(Stream, static_cast<size_t>(Words), Rng, ElemKind::I32);
+    };
+    if (IsConv && (Op == CONV_SET_FS || Op == CONV_SET_IC)) {
+      uint32_t Word = cfgWord(Op == CONV_SET_FS ? 3 : 4);
+      Stream.push_back(Word);
+      (Op == CONV_SET_FS ? FS : IC) = Word;
+      FilterLoaded = false;
+    } else if (IsConv && Op == CONV_SF) {
+      payload(IC * FS * FS);
+      FilterLoaded = true;
+    } else if (IsConv && Op == CONV_SICO) {
+      payload(IC * FS * FS);
+    } else if (!IsConv && Op == MM_CFG) {
+      for (int64_t *Dim : {&M, &K, &N}) {
+        uint32_t Word = cfgWord(2 * Size);
+        Stream.push_back(Word);
+        *Dim = Word;
+      }
+    } else if (!IsConv && (Op == MM_SA || Op == MM_SA_CC_RC)) {
+      payload(M * K);
+    } else if (!IsConv && (Op == MM_SB || Op == MM_SB_CC_RC)) {
+      payload(K * N);
+    } else if (!IsConv && Op == MM_SASBCCRC) {
+      payload(M * K + K * N);
+    }
+    // A faulted cfg leaves nonsense geometry; payloads stay small anyway.
+    if (M > 64 || K > 64 || N > 64 || IC > 64 || FS > 64) {
+      M = K = N = Size;
+      IC = FS = 1;
+    }
+  }
+  if (IsConv)
+    Stream.push_back(CONV_RO);
+  return Stream;
+}
+
+TEST(StreamEquivalence, ModelContractRandomSweep) {
+  uint32_t Seed = 1;
+  int Cases = 200;
+  if (const char *Env = std::getenv("AXI4MLIR_FUZZ_SEED"))
+    Seed = static_cast<uint32_t>(std::strtoul(Env, nullptr, 10));
+  if (const char *Env = std::getenv("AXI4MLIR_FUZZ_CASES"))
+    Cases = static_cast<int>(std::strtol(Env, nullptr, 10));
+  std::mt19937 Rng(Seed);
+  for (int I = 0; I < Cases; ++I) {
+    int Engine = std::uniform_int_distribution<int>(0, 5)(Rng);
+    int64_t Size = std::uniform_int_distribution<int>(0, 1)(Rng) ? 8 : 4;
+    bool IsConv = Engine >= 4;
+    auto Ver = static_cast<MatMulAccelerator::Version>(IsConv ? 0 : Engine);
+    // A small window buffer makes the conv capacity rule reachable.
+    Subject S = IsConv ? convSubject(ElemKind::I32, Engine == 4 ? 32 : 64)
+                       : matmulSubject(Ver, Size, ElemKind::I32);
+    std::vector<uint32_t> Stream = randomStream(Rng, IsConv, Ver, Size);
+    SCOPED_TRACE("seed " + std::to_string(Seed) + " case " +
+                 std::to_string(I) + " (" + S.Make()->getName() + ", " +
+                 std::to_string(Stream.size()) + " words)");
+    checkStreamEquivalence(S, Stream);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -427,7 +615,7 @@ TEST(StreamEquivalence, TransientFaultSameUnderAnyDelivery) {
   Plan.Events.push_back(Event);
 
   checkFaultEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V3, 4, ElemKind::I32),
+      matmulSubject(MatMulAccelerator::Version::V3, 4, ElemKind::I32).Make,
       Stream, Plan);
 
   // The reference observation itself: Transient status, dropped suffix =
@@ -464,7 +652,7 @@ TEST(StreamEquivalence, StallFaultSameUnderAnyDelivery) {
   Plan.Events.push_back(Event);
 
   checkFaultEquivalence(
-      matmulFactory(MatMulAccelerator::Version::V3, 4, ElemKind::I32),
+      matmulSubject(MatMulAccelerator::Version::V3, 4, ElemKind::I32).Make,
       Stream, Plan);
 }
 
@@ -486,7 +674,7 @@ TEST(StreamEquivalence, ConvTransientFaultSameUnderAnyDelivery) {
   Event.At = 2;
   Plan.Events.push_back(Event);
 
-  checkFaultEquivalence(convFactory(ElemKind::I32), Stream, Plan);
+  checkFaultEquivalence(convSubject(ElemKind::I32).Make, Stream, Plan);
 }
 
 } // namespace
