@@ -35,6 +35,10 @@ static LogicalResult parseCpu(const json::Value &Root, CpuInfo &Cpu,
     for (const json::Value &Level : Levels->array()) {
       if (!Level.isInt())
         return fail(Error, "'cpu.cache-levels' entries must be sizes");
+      if (Level.asInt() <= 0)
+        return fail(Error, "'cpu.cache-levels' entries must be positive "
+                           "sizes, got " +
+                               std::to_string(Level.asInt()));
       Cpu.CacheLevelBytes.push_back(Level.asInt());
     }
   }

@@ -643,7 +643,9 @@ void Server::Impl::workerLoop() {
 // Public API
 //===----------------------------------------------------------------------===//
 
-ServerOptions serve::makeServerOptions(const parser::SystemConfig &Config) {
+FailureOr<ServerOptions>
+serve::makeServerOptions(const parser::SystemConfig &Config,
+                         std::string *Error) {
   ServerOptions Options;
   const parser::ServeSection &Serve = Config.Serve;
   Options.Instances = Serve.Instances;
@@ -656,6 +658,18 @@ ServerOptions serve::makeServerOptions(const parser::SystemConfig &Config) {
   Options.DefaultDeadlineMs = Serve.DefaultDeadlineMs;
   Options.CpuFallback = Serve.CpuFallback;
   Options.Params.L2SizeBytes = Config.Cpu.lastLevelCacheBytes();
+  int64_t SetBytes =
+      Options.Params.L2Associativity * Options.Params.CacheLineBytes;
+  if (Options.Params.L2SizeBytes < SetBytes) {
+    if (Error)
+      *Error = "'cpu.cache-levels' last level (" +
+               std::to_string(Options.Params.L2SizeBytes) +
+               " B) is smaller than one L2 set (" +
+               std::to_string(Options.Params.L2Associativity) + " ways x " +
+               std::to_string(Options.Params.CacheLineBytes) + " B = " +
+               std::to_string(SetBytes) + " B)";
+    return failure();
+  }
   return Options;
 }
 

@@ -47,6 +47,7 @@
 #include "sim/CostModel.h"
 #include "sim/FaultInjector.h"
 #include "sim/PerfModel.h"
+#include "support/LogicalResult.h"
 
 #include <condition_variable>
 #include <cstdint>
@@ -162,8 +163,12 @@ struct ServerOptions {
 };
 
 /// Builds ServerOptions from a parsed configuration file's serve section
-/// (defaults when the section is absent).
-ServerOptions makeServerOptions(const parser::SystemConfig &Config);
+/// (defaults when the section is absent). The last `cpu.cache-levels`
+/// entry becomes the modeled L2; fails with a diagnostic in \p Error when
+/// it cannot hold one cache set (L2Associativity x CacheLineBytes), since
+/// no instance SoC could be built from it.
+FailureOr<ServerOptions> makeServerOptions(const parser::SystemConfig &Config,
+                                           std::string *Error = nullptr);
 
 /// Aggregate fleet counters.
 struct ServerStats {

@@ -7,7 +7,6 @@
 #include "sim/CacheSim.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace axi4mlir;
 using namespace axi4mlir::sim;
@@ -31,35 +30,27 @@ CacheLevel::CacheLevel(int64_t SizeBytes, int64_t Associativity,
   Tags.assign(NumSets * Ways, 0);
 }
 
-bool CacheLevel::access(uint64_t Address) {
-  uint64_t Line = LineShift >= 0
-                      ? Address >> LineShift
-                      : Address / static_cast<uint64_t>(LineBytes);
-  uint64_t Set, Tag;
-  if (SetShift >= 0) {
-    Set = Line & SetMask;
-    Tag = (Line >> SetShift) + 1; // +1 so 0 stays "invalid".
-  } else {
-    Set = Line % NumSets;
-    Tag = Line / NumSets + 1;
-  }
-  uint64_t *SetTags = &Tags[Set * Ways];
+bool CacheLevel::accessByDivision(uint64_t Address) {
+  uint64_t Line = Address / static_cast<uint64_t>(LineBytes);
+  uint64_t *SetTags = Tags.data() + Line % NumSets * Ways;
+  uint64_t Tag = Line / NumSets + 1;
+  return SetTags[0] == Tag || accessWays(SetTags, Tag);
+}
 
-  // MRU fast path: repeated accesses to the same line (element sweeps
-  // within one cache line) skip the reordering scan entirely.
-  if (SetTags[0] == Tag)
-    return true;
-
+bool CacheLevel::accessWays(uint64_t *SetTags, uint64_t Tag) {
+  // One pass scans the non-MRU ways and shifts each one down a slot: a hit
+  // at way W ends with ways [0, W) moved to [1, W], a miss shifts them all
+  // and drops the LRU way. Either way the tag lands in the MRU slot.
+  uint64_t Prev = SetTags[0];
   for (int64_t Way = 1; Way < Ways; ++Way) {
-    if (SetTags[Way] != Tag)
-      continue;
-    // Hit: move to MRU position.
-    std::memmove(SetTags + 1, SetTags, Way * sizeof(uint64_t));
-    SetTags[0] = Tag;
-    return true;
+    uint64_t Cur = SetTags[Way];
+    SetTags[Way] = Prev;
+    if (Cur == Tag) {
+      SetTags[0] = Tag;
+      return true;
+    }
+    Prev = Cur;
   }
-  // Miss: evict LRU (last way), install as MRU.
-  std::memmove(SetTags + 1, SetTags, (Ways - 1) * sizeof(uint64_t));
   SetTags[0] = Tag;
   return false;
 }
@@ -72,52 +63,21 @@ CacheSim::CacheSim(const SoCParams &Params)
       L2(Params.L2SizeBytes, Params.L2Associativity, Params.CacheLineBytes),
       LineShift(log2IfPow2(static_cast<uint64_t>(Params.CacheLineBytes))) {}
 
-uint64_t CacheSim::accessLine(uint64_t LineAddress) {
-  ++References;
-  if (L1.access(LineAddress))
-    return 0;
-  ++L1Misses;
-  if (L2.access(LineAddress))
-    return Params.L1MissPenaltyCycles;
-  ++L2Misses;
-  return Params.L1MissPenaltyCycles + Params.L2MissPenaltyCycles;
-}
-
-uint64_t CacheSim::access(uint64_t Address, unsigned Bytes) {
-  uint64_t Penalty = accessLine(Address);
-  // A straddling scalar access touches the second line too. Line math is
-  // a shift for power-of-two lines (the common case), division otherwise.
-  uint64_t End = Address + (Bytes ? Bytes - 1 : 0);
-  if (LineShift >= 0) {
-    uint64_t Shift = static_cast<uint64_t>(LineShift);
-    if ((End >> Shift) != (Address >> Shift))
-      Penalty += accessLine((End >> Shift) << Shift);
-    return Penalty;
-  }
+uint64_t CacheSim::accessSpan(uint64_t Address, uint64_t End) {
   uint64_t LineBytes = static_cast<uint64_t>(Params.CacheLineBytes);
+  uint64_t Penalty = accessLine(Address);
+  // A straddling scalar access touches the second line too.
   if (End / LineBytes != Address / LineBytes)
     Penalty += accessLine(End / LineBytes * LineBytes);
   return Penalty;
 }
 
-uint64_t CacheSim::accessRange(uint64_t Address, uint64_t Bytes) {
-  if (Bytes == 0)
-    return 0;
-  uint64_t Penalty = 0;
-  if (LineShift >= 0) {
-    uint64_t Shift = static_cast<uint64_t>(LineShift);
-    uint64_t Line = Address >> Shift;
-    uint64_t LastLine = (Address + Bytes - 1) >> Shift;
-    for (; Line <= LastLine; ++Line)
-      Penalty += accessLine(Line << Shift);
-    return Penalty;
-  }
-  uint64_t LineBytes = static_cast<uint64_t>(Params.CacheLineBytes);
-  uint64_t Line = Address / LineBytes;
-  uint64_t LastLine = (Address + Bytes - 1) / LineBytes;
-  for (; Line <= LastLine; ++Line)
-    Penalty += accessLine(Line * LineBytes);
-  return Penalty;
+uint64_t CacheSim::missL1(uint64_t LineAddress) {
+  ++L1Misses;
+  if (L2.access(LineAddress))
+    return Params.L1MissPenaltyCycles;
+  ++L2Misses;
+  return Params.L1MissPenaltyCycles + Params.L2MissPenaltyCycles;
 }
 
 void CacheSim::reset() {

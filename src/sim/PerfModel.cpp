@@ -44,10 +44,8 @@ void HostPerfModel::onMemcpy(uint64_t Dst, uint64_t Src, uint64_t Bytes) {
   uint64_t Branches = Bytes / 64 + 1;
   BranchInstructions += Branches;
   Instructions += Branches;
-  HostCycles += static_cast<double>(CopyInstructions + Branches) *
-                Params.CyclesPerInstruction;
-  HostCycles += static_cast<double>(Cache.accessRange(Src, Bytes));
-  HostCycles += static_cast<double>(Cache.accessRange(Dst, Bytes));
+  StallCycles += Cache.accessRange(Src, Bytes);
+  StallCycles += Cache.accessRange(Dst, Bytes);
   Loads += Bytes / Params.MemcpyBytesPerInstruction;
   Stores += Bytes / Params.MemcpyBytesPerInstruction;
 }
@@ -65,15 +63,11 @@ void HostPerfModel::onMemcpyRows(uint64_t Dst, uint64_t Src,
   uint64_t Branches = RowBytes / 64 + 1;
   Instructions += (CopyInstructions + Branches) * Rows;
   BranchInstructions += Branches * Rows;
-  HostCycles += static_cast<double>((CopyInstructions + Branches) * Rows) *
-                Params.CyclesPerInstruction;
   // The cache is stateful: preserve the per-row src-then-dst access order
   // of the unbatched path so miss counts stay bit-identical.
   for (uint64_t Row = 0; Row < Rows; ++Row) {
-    HostCycles += static_cast<double>(
-        Cache.accessRange(Src + Row * SrcStrideBytes, RowBytes));
-    HostCycles += static_cast<double>(
-        Cache.accessRange(Dst + Row * DstStrideBytes, RowBytes));
+    StallCycles += Cache.accessRange(Src + Row * SrcStrideBytes, RowBytes);
+    StallCycles += Cache.accessRange(Dst + Row * DstStrideBytes, RowBytes);
   }
   Loads += RowBytes / Params.MemcpyBytesPerInstruction * Rows;
   Stores += RowBytes / Params.MemcpyBytesPerInstruction * Rows;
@@ -88,7 +82,9 @@ PerfReport HostPerfModel::report() const {
   Report.L1DAccesses = Cache.getReferences();
   Report.CacheReferences = Cache.getL1Misses();
   Report.CacheMisses = Cache.getL2Misses();
-  Report.HostCycles = HostCycles;
+  Report.HostCycles =
+      static_cast<double>(Instructions) * Params.CyclesPerInstruction +
+      static_cast<double>(StallCycles);
   Report.FabricCycles = FabricCycles;
   Report.DmaTransfers = DmaTransfers;
   Report.DmaBytesMoved = DmaBytesMoved;
@@ -107,20 +103,32 @@ PerfReport HostPerfModel::report() const {
   // fabric. All four are zero on fault-free runs, leaving TaskClockMs
   // bit-identical there.
   Report.TaskClockMs = Params.taskClockMs(
-      HostCycles + RecoveryBackoffCycles + WatchdogPollCycles +
+      Report.HostCycles + RecoveryBackoffCycles + WatchdogPollCycles +
           CpuFallbackCycles,
       FabricCycles + RecoveryReplayCycles);
   return Report;
 }
 
 void HostPerfModel::reset() {
+  // Counters are zeroed in place: the cache keeps its tag storage (and so
+  // its heap address) and only clears it.
   Cache.reset();
   Instructions = 0;
   BranchInstructions = 0;
   Loads = 0;
   Stores = 0;
-  HostCycles = 0;
+  StallCycles = 0;
   FabricCycles = 0;
   DmaTransfers = 0;
   DmaBytesMoved = 0;
+  FaultsInjected = 0;
+  RecoveryRetries = 0;
+  RecoveryBackoffCycles = 0;
+  WatchdogPollCycles = 0;
+  RecoveryReplayCycles = 0;
+  FailoverEvents = 0;
+  CpuFallbackEvents = 0;
+  CpuFallbackCycles = 0;
+  PlanCacheHits = 0;
+  PlanCacheMisses = 0;
 }

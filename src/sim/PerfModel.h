@@ -68,6 +68,17 @@ struct PerfReport {
 };
 
 /// The mutable counter accumulator + cache simulator.
+///
+/// Host cycles are not summed charge by charge. The model keeps two
+/// integers: `Instructions`, and `StallCycles`, the cache-miss penalties
+/// plus the fixed onHostCycles() driver charges. report() derives
+///
+///   HostCycles = Instructions * CyclesPerInstruction + StallCycles
+///
+/// once. That equals the in-order `double` sum of every charge whenever
+/// CyclesPerInstruction is integral and the totals stay below 2^53 (every
+/// SoCParams in the repo uses 1.0). A fractional CPI rounds once here
+/// instead of once per charge.
 class HostPerfModel {
 public:
   explicit HostPerfModel(const SoCParams &Params)
@@ -90,10 +101,7 @@ public:
   }
 
   /// Plain ALU instruction(s).
-  void onArith(uint64_t Count = 1) {
-    Instructions += Count;
-    HostCycles += static_cast<double>(Count) * Params.CyclesPerInstruction;
-  }
+  void onArith(uint64_t Count = 1) { Instructions += Count; }
 
   /// A (taken or not) branch instruction.
   void onBranch(uint64_t Count = 1) {
@@ -131,9 +139,7 @@ public:
                     uint64_t SrcStrideBytes);
 
   /// Fixed host-cycle charges (DMA driver calls etc.).
-  void onHostCycles(uint64_t Cycles) {
-    HostCycles += static_cast<double>(Cycles);
-  }
+  void onHostCycles(uint64_t Cycles) { StallCycles += Cycles; }
 
   //===------------------------------------------------------------------===//
   // Fabric-side events (charged by the DMA engine / accelerator)
@@ -181,10 +187,7 @@ public:
 private:
   void chargeAccess(uint64_t Address, unsigned Bytes) {
     Instructions += 1 + Params.ScalarAccessExtraInstructions;
-    HostCycles += (1.0 + static_cast<double>(
-                             Params.ScalarAccessExtraInstructions)) *
-                  Params.CyclesPerInstruction;
-    HostCycles += static_cast<double>(Cache.access(Address, Bytes));
+    StallCycles += Cache.access(Address, Bytes);
   }
 
   SoCParams Params;
@@ -193,7 +196,7 @@ private:
   uint64_t BranchInstructions = 0;
   uint64_t Loads = 0;
   uint64_t Stores = 0;
-  double HostCycles = 0;
+  uint64_t StallCycles = 0; ///< miss penalties + onHostCycles charges
   double FabricCycles = 0;
   uint64_t DmaTransfers = 0;
   uint64_t DmaBytesMoved = 0;

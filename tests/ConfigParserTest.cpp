@@ -462,6 +462,26 @@ TEST(ConfigParser, ServeDiagnostics) {
       << Error;
 }
 
+/// A zero or negative cache size would reach the cache model as a level
+/// with no sets (a division by zero on the first access).
+TEST(ConfigParser, RejectsNonPositiveCacheLevels) {
+  for (const char *Levels : {"[32K, 0]", "[32K, -512K]", "[0]"}) {
+    std::string Error;
+    EXPECT_TRUE(failed(parseSystemConfig(
+        withServe(std::string(R"("cpu": { "cache-levels": )") + Levels +
+                  " },"),
+        &Error)))
+        << Levels;
+    EXPECT_NE(Error.find("'cpu.cache-levels' entries must be positive sizes"),
+              std::string::npos)
+        << Error;
+  }
+  std::string Error;
+  EXPECT_TRUE(succeeded(parseSystemConfig(
+      withServe(R"("cpu": { "cache-levels": [1, 512] },)"), &Error)))
+      << Error;
+}
+
 TEST(ConfigParser, OpcodeActionReferenceValidation) {
   // Each bad opcode_map/flow below is injected into an otherwise valid
   // config with 3 'data' operands (A:[m,k] rank 2) and 3 'dims' names, so

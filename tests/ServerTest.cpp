@@ -123,6 +123,27 @@ TEST(PlanCacheTest, EvictionKeepsInFlightEntriesAlive) {
 }
 
 //===----------------------------------------------------------------------===//
+// Options from a parsed config
+//===----------------------------------------------------------------------===//
+
+/// The last cache level becomes the modeled L2; one that cannot hold a
+/// single set is refused before any SoC is built from it.
+TEST(ServerTest, MakeServerOptionsRejectsL2SmallerThanOneSet) {
+  parser::SystemConfig Config;
+  sim::SoCParams Defaults;
+  const int64_t SetBytes = Defaults.L2Associativity * Defaults.CacheLineBytes;
+  Config.Cpu.CacheLevelBytes = {32 * 1024, SetBytes - 1};
+  std::string Error;
+  EXPECT_TRUE(failed(makeServerOptions(Config, &Error)));
+  EXPECT_NE(Error.find("'cpu.cache-levels'"), std::string::npos) << Error;
+
+  Config.Cpu.CacheLevelBytes = {32 * 1024, SetBytes};
+  auto Options = makeServerOptions(Config, &Error);
+  ASSERT_TRUE(succeeded(Options));
+  EXPECT_EQ(Options->Params.L2SizeBytes, SetBytes);
+}
+
+//===----------------------------------------------------------------------===//
 // Admission control and shedding
 //===----------------------------------------------------------------------===//
 

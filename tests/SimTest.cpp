@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <random>
+#include <string>
+#include <vector>
+
 using namespace axi4mlir;
 using namespace axi4mlir::sim;
 using namespace axi4mlir::sim::opcodes;
@@ -76,8 +82,206 @@ TEST(CacheSim, RangeTouchesEachLineOnce) {
 }
 
 //===----------------------------------------------------------------------===//
+// Differential sweep: CacheSim against a naive two-level LRU written the
+// obvious way (a recency-ordered vector per set, div/mod line math). Both
+// see the same access stream; after every call the returned penalty and
+// the three counters must agree. AXI4MLIR_FUZZ_SEED / AXI4MLIR_FUZZ_CASES
+// widen the sweep.
+//===----------------------------------------------------------------------===//
+
+class NaiveCache {
+public:
+  explicit NaiveCache(const SoCParams &P)
+      : P(P), LineBytes(static_cast<uint64_t>(P.CacheLineBytes)),
+        L1(static_cast<size_t>(P.L1SizeBytes /
+                               (P.L1Associativity * P.CacheLineBytes))),
+        L2(static_cast<size_t>(P.L2SizeBytes /
+                               (P.L2Associativity * P.CacheLineBytes))) {}
+
+  uint64_t access(uint64_t Address, unsigned Bytes) {
+    uint64_t First = Address / LineBytes;
+    uint64_t Last = (Address + (Bytes ? Bytes - 1 : 0)) / LineBytes;
+    uint64_t Penalty = touch(First);
+    if (Last != First)
+      Penalty += touch(Last);
+    return Penalty;
+  }
+
+  uint64_t accessRange(uint64_t Address, uint64_t Bytes) {
+    if (Bytes == 0)
+      return 0;
+    uint64_t Penalty = 0;
+    for (uint64_t Line = Address / LineBytes;
+         Line <= (Address + Bytes - 1) / LineBytes; ++Line)
+      Penalty += touch(Line);
+    return Penalty;
+  }
+
+  uint64_t References = 0, L1Misses = 0, L2Misses = 0;
+
+private:
+  /// LRU lookup of \p Line in one level: a hit moves it to the front, a
+  /// miss inserts it there and drops the back when the set is full.
+  static bool lookup(std::vector<std::vector<uint64_t>> &Sets, int64_t Ways,
+                     uint64_t Line) {
+    std::vector<uint64_t> &Set = Sets[Line % Sets.size()];
+    auto It = std::find(Set.begin(), Set.end(), Line);
+    bool Hit = It != Set.end();
+    if (Hit)
+      Set.erase(It);
+    else if (static_cast<int64_t>(Set.size()) == Ways)
+      Set.pop_back();
+    Set.insert(Set.begin(), Line);
+    return Hit;
+  }
+
+  uint64_t touch(uint64_t Line) {
+    ++References;
+    if (lookup(L1, P.L1Associativity, Line))
+      return 0;
+    ++L1Misses;
+    if (lookup(L2, P.L2Associativity, Line))
+      return P.L1MissPenaltyCycles;
+    ++L2Misses;
+    return P.L1MissPenaltyCycles + P.L2MissPenaltyCycles;
+  }
+
+  SoCParams P;
+  uint64_t LineBytes;
+  std::vector<std::vector<uint64_t>> L1, L2;
+};
+
+/// Drives CacheSim and NaiveCache with the same seeded streams: scalar
+/// accesses of 1-8 bytes at random offsets (some straddle two lines),
+/// ranges of 0-600 bytes, repeated hot lines, and strides that map every
+/// access to one L1 or L2 set.
+void runCacheSweep(const SoCParams &P, const std::string &Geometry) {
+  uint32_t Seed = 1;
+  int Cases = 40;
+  if (const char *Env = std::getenv("AXI4MLIR_FUZZ_SEED"))
+    Seed = static_cast<uint32_t>(std::strtoul(Env, nullptr, 10));
+  if (const char *Env = std::getenv("AXI4MLIR_FUZZ_CASES"))
+    Cases = static_cast<int>(std::strtol(Env, nullptr, 10));
+  std::mt19937_64 Rng(Seed);
+  auto uniform = [&](uint64_t Lo, uint64_t Hi) {
+    return std::uniform_int_distribution<uint64_t>(Lo, Hi)(Rng);
+  };
+  const uint64_t Line = static_cast<uint64_t>(P.CacheLineBytes);
+  const uint64_t L1SetStride =
+      static_cast<uint64_t>(P.L1SizeBytes / P.L1Associativity);
+  const uint64_t L2SetStride =
+      static_cast<uint64_t>(P.L2SizeBytes / P.L2Associativity);
+  // Twice the L2 capacity, so every level both hits and misses.
+  const uint64_t Span = 2 * static_cast<uint64_t>(P.L2SizeBytes);
+  for (int Case = 0; Case < Cases; ++Case) {
+    CacheSim Cache(P);
+    NaiveCache Ref(P);
+    // A random base, not line-aligned, for this case's stream.
+    uint64_t Base = uniform(1, 1 << 20) * Line;
+    Base += uniform(0, Line - 1);
+    uint64_t Hot[4];
+    for (uint64_t &H : Hot)
+      H = Base + uniform(0, Span);
+    for (int Op = 0; Op < 400 && !::testing::Test::HasFatalFailure(); ++Op) {
+      // One call on both models; the penalty and counters must agree.
+      auto step = [&](bool Range, uint64_t Address, uint64_t Bytes) {
+        uint64_t Got =
+            Range ? Cache.accessRange(Address, Bytes)
+                  : Cache.access(Address, static_cast<unsigned>(Bytes));
+        uint64_t Want =
+            Range ? Ref.accessRange(Address, Bytes)
+                  : Ref.access(Address, static_cast<unsigned>(Bytes));
+        auto where = [&] {
+          return Geometry + " seed " + std::to_string(Seed) + " case " +
+                 std::to_string(Case) + " op " + std::to_string(Op) +
+                 (Range ? ": accessRange(" : ": access(") +
+                 std::to_string(Address) + ", " + std::to_string(Bytes) +
+                 ")";
+        };
+        ASSERT_EQ(Got, Want) << where();
+        ASSERT_EQ(Cache.getReferences(), Ref.References) << where();
+        ASSERT_EQ(Cache.getL1Misses(), Ref.L1Misses) << where();
+        ASSERT_EQ(Cache.getL2Misses(), Ref.L2Misses) << where();
+      };
+      uint64_t Kind = uniform(0, 4);
+      uint64_t Address = Base + uniform(0, Span);
+      if (Kind == 0) {
+        step(false, Address, uniform(1, 8));
+      } else if (Kind == 1) {
+        step(true, Address, uniform(0, 600));
+      } else if (Kind == 2) {
+        uint64_t Hit = Hot[uniform(0, 3)];
+        step(false, Hit + uniform(0, Line), 4);
+      } else {
+        // Ways + 1 lines of one set: the LRU way is evicted every lap.
+        bool InL1 = uniform(0, 1) == 0;
+        uint64_t Stride = InL1 ? L1SetStride : L2SetStride;
+        int64_t Ways = InL1 ? P.L1Associativity : P.L2Associativity;
+        for (int64_t Way = 0; Way <= Ways; ++Way)
+          step(false, Address + static_cast<uint64_t>(Way) * Stride,
+               uniform(1, 8));
+      }
+    }
+  }
+}
+
+TEST(CacheSim, DifferentialSweepDefaultGeometry) {
+  runCacheSweep(SoCParams(), "default");
+}
+
+/// 48-byte lines and 96 L1 sets: every access takes the division path.
+TEST(CacheSim, DifferentialSweepNonPow2Geometry) {
+  SoCParams P;
+  P.CacheLineBytes = 48;
+  P.L1Associativity = 3;
+  P.L1SizeBytes = 96 * 3 * 48;
+  P.L2Associativity = 6;
+  P.L2SizeBytes = 200 * 6 * 48;
+  runCacheSweep(P, "48B lines, 96x3 L1, 200x6 L2");
+}
+
+/// Power-of-two lines but not sets, and a direct-mapped L1: the shift
+/// straddle check feeds the division lookup, and there are no other ways
+/// to scan.
+TEST(CacheSim, DifferentialSweepMixedGeometry) {
+  SoCParams P;
+  P.L1Associativity = 1;
+  P.L1SizeBytes = 96 * 64;
+  P.L2Associativity = 5;
+  P.L2SizeBytes = 300 * 5 * 64;
+  runCacheSweep(P, "64B lines, 96x1 L1, 300x5 L2");
+}
+
+//===----------------------------------------------------------------------===//
 // Perf model
 //===----------------------------------------------------------------------===//
+
+/// Every PerfReport field, compared exactly.
+void expectSameReport(const PerfReport &A, const PerfReport &B) {
+  EXPECT_EQ(A.Instructions, B.Instructions);
+  EXPECT_EQ(A.BranchInstructions, B.BranchInstructions);
+  EXPECT_EQ(A.Loads, B.Loads);
+  EXPECT_EQ(A.Stores, B.Stores);
+  EXPECT_EQ(A.L1DAccesses, B.L1DAccesses);
+  EXPECT_EQ(A.CacheReferences, B.CacheReferences);
+  EXPECT_EQ(A.CacheMisses, B.CacheMisses);
+  EXPECT_EQ(A.HostCycles, B.HostCycles);
+  EXPECT_EQ(A.FabricCycles, B.FabricCycles);
+  EXPECT_EQ(A.DmaTransfers, B.DmaTransfers);
+  EXPECT_EQ(A.DmaBytesMoved, B.DmaBytesMoved);
+  EXPECT_EQ(A.TaskClockMs, B.TaskClockMs);
+  EXPECT_EQ(A.FaultsInjected, B.FaultsInjected);
+  EXPECT_EQ(A.RecoveryRetries, B.RecoveryRetries);
+  EXPECT_EQ(A.RecoveryBackoffCycles, B.RecoveryBackoffCycles);
+  EXPECT_EQ(A.WatchdogPollCycles, B.WatchdogPollCycles);
+  EXPECT_EQ(A.RecoveryReplayCycles, B.RecoveryReplayCycles);
+  EXPECT_EQ(A.FailoverEvents, B.FailoverEvents);
+  EXPECT_EQ(A.CpuFallbackEvents, B.CpuFallbackEvents);
+  EXPECT_EQ(A.CpuFallbackCycles, B.CpuFallbackCycles);
+  EXPECT_EQ(A.PlanCacheHits, B.PlanCacheHits);
+  EXPECT_EQ(A.PlanCacheMisses, B.PlanCacheMisses);
+  EXPECT_EQ(A.summary(), B.summary());
+}
 
 TEST(PerfModel, CountersAccumulate) {
   SoCParams Params;
@@ -119,6 +323,139 @@ TEST(PerfModel, TaskClockCombinesDomains) {
   Perf.onHostCycles(650000); // 1 ms of host work
   Perf.onFabricCycles(200000); // 1 ms of fabric work
   EXPECT_NEAR(Perf.report().TaskClockMs, 2.0, 1e-9);
+}
+
+/// HostCycles is derived in report() as Instructions x CPI + stalls. Pin
+/// it to its definition: the in-order double sum of every charge, which a
+/// shadow cache supplies the miss penalties for.
+TEST(PerfModel, HostCyclesEqualInOrderSumOfCharges) {
+  SoCParams P;
+  HostPerfModel Perf(P);
+  CacheSim Shadow(P);
+  double Cycles = 0;
+  auto instructions = [&](uint64_t Count) {
+    Cycles += static_cast<double>(Count) * P.CyclesPerInstruction;
+  };
+  auto scalar = [&](uint64_t Address, unsigned Bytes) {
+    instructions(1 + P.ScalarAccessExtraInstructions);
+    Cycles += static_cast<double>(Shadow.access(Address, Bytes));
+  };
+  auto copyInstructions = [&](uint64_t Bytes) {
+    return P.MemcpySetupInstructions +
+           (Bytes + P.MemcpyBytesPerInstruction - 1) /
+               P.MemcpyBytesPerInstruction +
+           Bytes / 64 + 1;
+  };
+
+  for (int Round = 0; Round < 3; ++Round) {
+    Perf.onArith(5);
+    instructions(5);
+    Perf.onBranch(3);
+    instructions(3);
+    Perf.onLoopIteration();
+    instructions(P.LoopIterationInstructions);
+    instructions(1);
+    Perf.onLoopIterations(7);
+    instructions(7 * P.LoopIterationInstructions);
+    instructions(7);
+    // A row sweep, a column sweep, and a scalar straddling two lines.
+    for (uint64_t I = 0; I < 40; ++I) {
+      Perf.onScalarLoad(0x10000 + 4 * I, 4);
+      scalar(0x10000 + 4 * I, 4);
+      Perf.onScalarStore(0x48000 + 4096 * I, 4);
+      scalar(0x48000 + 4096 * I, 4);
+    }
+    Perf.onScalarLoad(0x2003e, 4);
+    scalar(0x2003e, 4);
+    Perf.onMemcpy(0x90010, 0x40020, 300);
+    instructions(copyInstructions(300));
+    Cycles += static_cast<double>(Shadow.accessRange(0x40020, 300));
+    Cycles += static_cast<double>(Shadow.accessRange(0x90010, 300));
+    // Rows of 100 bytes, strided so they straddle lines differently.
+    const uint64_t Rows = 6;
+    Perf.onMemcpyRows(0xA0008, 0x50030, 100, Rows, 160, 200);
+    instructions(copyInstructions(100) * Rows);
+    for (uint64_t Row = 0; Row < Rows; ++Row) {
+      Cycles += static_cast<double>(
+          Shadow.accessRange(0x50030 + Row * 200, 100));
+      Cycles += static_cast<double>(
+          Shadow.accessRange(0xA0008 + Row * 160, 100));
+    }
+    Perf.onHostCycles(P.DmaStartHostCycles);
+    Cycles += static_cast<double>(P.DmaStartHostCycles);
+  }
+  Perf.onFabricCycles(1234.5);
+
+  PerfReport R = Perf.report();
+  EXPECT_GT(R.CacheReferences, 0u); // the charges include miss penalties
+  EXPECT_EQ(R.HostCycles, Cycles);
+  EXPECT_EQ(R.TaskClockMs, P.taskClockMs(Cycles, 1234.5));
+  EXPECT_EQ(R.L1DAccesses, Shadow.getReferences());
+  EXPECT_EQ(R.CacheReferences, Shadow.getL1Misses());
+  EXPECT_EQ(R.CacheMisses, Shadow.getL2Misses());
+}
+
+/// onMemcpyRows promises exactly the counters (and cache state) of Rows
+/// onMemcpy calls over the same rows.
+TEST(PerfModel, MemcpyRowsMatchesPerRowMemcpy) {
+  SoCParams P;
+  HostPerfModel Batched(P), PerRow(P);
+  struct Block {
+    uint64_t Dst, Src, RowBytes, Rows, DstStride, SrcStride;
+  };
+  const Block Blocks[] = {{0x80000, 0x10000, 64, 8, 64, 64},
+                          {0x80008, 0x10030, 100, 7, 160, 200},
+                          {0x90004, 0x20002, 3, 50, 4100, 36},
+                          {0xA0000, 0x30000, 0, 4, 16, 16},
+                          {0x80000, 0x10000, 640, 5, 640, 4096},
+                          // One 4-way L1 set: each row's dst line is the
+                          // src line of two rows back, which survives only
+                          // in dst-then-src order.
+                          {0x1FC000, 0x200000, 64, 12, 8192, 8192}};
+  for (int Pass = 0; Pass < 2; ++Pass) { // the second pass hits
+    for (const Block &B : Blocks) {
+      Batched.onMemcpyRows(B.Dst, B.Src, B.RowBytes, B.Rows, B.DstStride,
+                           B.SrcStride);
+      for (uint64_t Row = 0; Row < B.Rows; ++Row)
+        PerRow.onMemcpy(B.Dst + Row * B.DstStride, B.Src + Row * B.SrcStride,
+                        B.RowBytes);
+      expectSameReport(Batched.report(), PerRow.report());
+    }
+  }
+}
+
+/// reset() returns a model to its just-constructed state: every counter,
+/// fault/recovery and plan-cache telemetry included, and a cold cache.
+TEST(PerfModel, ResetClearsEveryCounter) {
+  SoCParams P;
+  HostPerfModel Perf(P), Fresh(P);
+  Perf.onScalarLoad(0x1000, 4);
+  Perf.onScalarStore(0x2000, 4);
+  Perf.onArith(2);
+  Perf.onBranch();
+  Perf.onLoopIteration();
+  Perf.onLoopIterations(3);
+  Perf.onMemcpy(0x8000, 0x4000, 256);
+  Perf.onMemcpyRows(0x9000, 0x5000, 64, 2, 128, 128);
+  Perf.onHostCycles(600);
+  Perf.onFabricCycles(30);
+  Perf.onDmaTransfer(64);
+  Perf.onFaultsInjected(1);
+  Perf.onRecoveryRetry(100);
+  Perf.onWatchdogPolls(50);
+  Perf.onRecoveryReplay(25);
+  Perf.onFailover();
+  Perf.onCpuFallbackEvent();
+  Perf.onCpuFallbackCycles(75);
+  Perf.onPlanCacheHit();
+  Perf.onPlanCacheMiss();
+  Perf.reset();
+  expectSameReport(Perf.report(), Fresh.report());
+  // The cache is cold again: the same load misses exactly as in a fresh
+  // model.
+  Perf.onScalarLoad(0x1000, 4);
+  Fresh.onScalarLoad(0x1000, 4);
+  expectSameReport(Perf.report(), Fresh.report());
 }
 
 //===----------------------------------------------------------------------===//

@@ -195,7 +195,13 @@ int runTool(const CliOptions &Options) {
     return 1;
   }
 
-  serve::ServerOptions ServerOptions = serve::makeServerOptions(*Config);
+  auto MadeOptions = serve::makeServerOptions(*Config, &Error);
+  if (failed(MadeOptions)) {
+    std::fprintf(stderr, "error: %s: %s\n", Options.ConfigPath.c_str(),
+                 Error.c_str());
+    return 1;
+  }
+  serve::ServerOptions ServerOptions = *MadeOptions;
   if (Options.Threads >= 0)
     ServerOptions.Threads = static_cast<unsigned>(Options.Threads);
   if (Options.DeadlineMs >= 0)
