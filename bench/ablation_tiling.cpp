@@ -84,10 +84,11 @@ int main() {
 
   printHeader("Ablation: transfer batching (one dma_start_send per token "
               "vs per accel op)");
-  // The batched path is the default pipeline; the unbatched path is the
-  // accel-level interpretation where every transaction ships alone. We
-  // approximate the unbatched cost from DMA transfer counts: each extra
-  // transfer costs start+wait host cycles.
+  // The batched path is the default pipeline. The unbatched path, where
+  // every accel op ships its transaction alone, is not executable: accel
+  // ops only run once convert-accel-to-runtime has batched them. We
+  // approximate its cost from DMA transfer counts: each extra transfer
+  // costs start+wait host cycles.
   for (int64_t Dims : {64, 128}) {
     MatMulRunConfig Config;
     Config.M = Config.N = Config.K = Dims;

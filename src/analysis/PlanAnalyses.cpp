@@ -43,18 +43,6 @@ const char *PlanView::opName(Op Code) {
     return "subview";
   case Op::Generic:
     return "generic";
-  case Op::AccelDmaInit:
-    return "accel.dma_init";
-  case Op::AccelSendLiteral:
-    return "accel.send_literal";
-  case Op::AccelSend:
-    return "accel.send";
-  case Op::AccelSendDim:
-    return "accel.send_dim";
-  case Op::AccelSendIdx:
-    return "accel.send_idx";
-  case Op::AccelRecv:
-    return "accel.recv";
   case Op::CallDmaInit:
     return "dma_init";
   case Op::CallCopyToDma:

@@ -58,11 +58,6 @@ int32_t writeSlotOf(const Inst &I) {
   case Op::Alloc:
   case Op::Load:
   case Op::SubView:
-  case Op::AccelSendLiteral:
-  case Op::AccelSend:
-  case Op::AccelSendDim:
-  case Op::AccelSendIdx:
-  case Op::AccelRecv:
   case Op::CallCopyToDma:
   case Op::CallCopyLiteralToDma:
     return I.Dst;
@@ -743,7 +738,6 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     return;
   }
 
-  case Op::AccelDmaInit:
   case Op::CallDmaInit: {
     if (I.Aux < 0 || static_cast<size_t>(I.Aux) >= V.dmaConfigs().size()) {
       error(Pc, "dma config index #" + std::to_string(I.Aux) +
@@ -754,79 +748,6 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     CurDma = I.Aux;
     Region.clear();
     RegionUnknown = false;
-    return;
-  }
-
-  case Op::AccelSendLiteral: {
-    checkRead(Pc, I.A, Req::Scalar, "the staging offset");
-    bool OffKnown = Facts.isConst(I.A);
-    int64_t Off = OffKnown ? Facts.Value[I.A] : 0;
-    checkRegionRange(Pc, /*Input=*/true, OffKnown, Off, 1,
-                     "the staged literal");
-    modelWord(Pc, AbstractWord::constant(I.Imm));
-    if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, OffKnown, Off + 1);
-    return;
-  }
-  case Op::AccelSend: {
-    checkRead(Pc, I.A, Req::MemRef, "the sent memref");
-    checkRead(Pc, I.B, Req::Scalar, "the staging offset");
-    int64_t Cnt = memrefCount(I.A);
-    bool OffKnown = Facts.isConst(I.B);
-    int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
-    checkRegionRange(Pc, /*Input=*/true, OffKnown, Off, Cnt,
-                     "the sent tile");
-    modelData(Pc, Cnt);
-    if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, OffKnown && Cnt >= 0, Off + (Cnt >= 0 ? Cnt : 0));
-    return;
-  }
-  case Op::AccelSendDim: {
-    checkRead(Pc, I.B, Req::Scalar, "the staging offset");
-    if (checkRead(Pc, I.A, Req::MemRef, "the measured memref") && !I.Sub) {
-      // The runtime indexes Desc.Sizes[Imm] unchecked; prove it here.
-      int64_t Rank = memrefRank(I.A);
-      if (I.Imm < 0 || (Rank >= 0 && I.Imm >= Rank))
-        error(Pc, "reads dimension " + std::to_string(I.Imm) +
-                      " of a rank-" +
-                      (Rank >= 0 ? std::to_string(Rank) : "unknown") +
-                      " memref (out of range)");
-      else if (Rank < 0)
-        warn(Pc, "cannot prove dimension index " + std::to_string(I.Imm) +
-                     " is within the operand's rank (rank unknown)");
-    }
-    bool OffKnown = Facts.isConst(I.B);
-    int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
-    checkRegionRange(Pc, /*Input=*/true, OffKnown, Off, 1,
-                     "the staged dimension word");
-    modelWord(Pc, I.Sub ? AbstractWord::constant(I.Imm)
-                        : AbstractWord::unknown());
-    if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, OffKnown, Off + 1);
-    return;
-  }
-  case Op::AccelSendIdx: {
-    checkRead(Pc, I.A, Req::Scalar, "the sent index value");
-    checkRead(Pc, I.B, Req::Scalar, "the staging offset");
-    bool OffKnown = Facts.isConst(I.B);
-    int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
-    checkRegionRange(Pc, /*Input=*/true, OffKnown, Off, 1,
-                     "the staged index word");
-    modelWord(Pc, Facts.isConst(I.A)
-                      ? AbstractWord::constant(Facts.Value[I.A])
-                      : AbstractWord::unknown());
-    if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, OffKnown, Off + 1);
-    return;
-  }
-  case Op::AccelRecv: {
-    checkRead(Pc, I.A, Req::MemRef, "the receive destination");
-    int64_t Cnt = memrefCount(I.A);
-    checkRegionRange(Pc, /*Input=*/false, true, 0, Cnt,
-                     "the received tile");
-    modelRecv(Pc, Cnt);
-    if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, true, 0);
     return;
   }
 

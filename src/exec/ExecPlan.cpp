@@ -6,7 +6,6 @@
 
 #include "exec/ExecPlan.h"
 
-#include "dialects/Accel.h"
 #include "dialects/Arith.h"
 #include "dialects/Linalg.h"
 #include "dialects/MemRef.h"
@@ -77,12 +76,19 @@ struct ExecPlanBuilder {
   LogicalResult compileOp(Operation *Op, std::vector<ExecPlan::Inst> &Out);
   LogicalResult compileGeneric(Operation *Op,
                                std::vector<ExecPlan::Inst> &Out);
-  LogicalResult compileAccel(Operation *Op, std::vector<ExecPlan::Inst> &Out);
   LogicalResult compileCall(Operation *Op, std::vector<ExecPlan::Inst> &Out);
 };
 
 } // namespace exec
 } // namespace axi4mlir
+
+std::string exec::unsupportedOpError(const std::string &OpName) {
+  if (OpName.rfind("accel.", 0) == 0)
+    return "interpreter: accel-level op '" + OpName +
+           "' is not executable; lower it with convert-accel-to-runtime "
+           "first";
+  return "interpreter: unsupported operation '" + OpName + "'";
+}
 
 LogicalResult ExecPlanBuilder::compileOp(Operation *Op,
                                          std::vector<ExecPlan::Inst> &Out) {
@@ -230,16 +236,14 @@ LogicalResult ExecPlanBuilder::compileOp(Operation *Op,
   }
 
   //===--------------------------------------------------------------------===//
-  // linalg / accel / calls
+  // linalg / runtime calls
   //===--------------------------------------------------------------------===//
   if (Name == linalg::GenericOp::OpName)
     return compileGeneric(Op, Out);
-  if (Name.rfind("accel.", 0) == 0)
-    return compileAccel(Op, Out);
   if (Name == func::CallOp::OpName)
     return compileCall(Op, Out);
 
-  return fail("interpreter: unsupported operation '" + Name + "'");
+  return fail(unsupportedOpError(Name));
 }
 
 LogicalResult
@@ -286,68 +290,6 @@ ExecPlanBuilder::compileGeneric(Operation *Op,
   Plan.Generics.push_back(std::move(G));
   Out.push_back(I);
   return success();
-}
-
-LogicalResult ExecPlanBuilder::compileAccel(Operation *Op,
-                                            std::vector<ExecPlan::Inst> &Out) {
-  using PlanOp = ExecPlan::Op;
-  const std::string &Name = Op->getName();
-  ExecPlan::Inst I;
-
-  if (Name == accel::DmaInitOp::OpName) {
-    I.Code = PlanOp::AccelDmaInit;
-    I.Aux = static_cast<int32_t>(Plan.DmaConfigs.size());
-    Plan.DmaConfigs.push_back(accel::DmaInitOp(Op).getConfig());
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::SendLiteralOp::OpName) {
-    I.Code = PlanOp::AccelSendLiteral;
-    I.A = slot(Op->getOperand(0));
-    I.Imm = Op->getIntAttr("literal");
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::SendOp::OpName) {
-    I.Code = PlanOp::AccelSend;
-    I.A = slot(Op->getOperand(0));
-    I.B = slot(Op->getOperand(1));
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::SendDimOp::OpName) {
-    I.Code = PlanOp::AccelSendDim;
-    I.A = slot(Op->getOperand(0));
-    I.B = slot(Op->getOperand(1));
-    if (Op->hasAttr("static_size")) {
-      I.Sub = 1;
-      I.Imm = Op->getIntAttr("static_size");
-    } else {
-      I.Imm = Op->getIntAttr("dim");
-    }
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::SendIdxOp::OpName) {
-    I.Code = PlanOp::AccelSendIdx;
-    I.A = slot(Op->getOperand(0));
-    I.B = slot(Op->getOperand(1));
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::RecvOp::OpName) {
-    I.Code = PlanOp::AccelRecv;
-    I.A = slot(Op->getOperand(0));
-    I.Sub = accel::RecvOp(Op).getMode() == "accumulate" ? 1 : 0;
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  return fail("unsupported accel op '" + Name + "'");
 }
 
 LogicalResult ExecPlanBuilder::compileCall(Operation *Op,
@@ -458,10 +400,7 @@ std::unique_ptr<ExecPlan> ExecPlan::compile(func::FuncOp Func,
 // Disassembly
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Binary-op mnemonic for Inst::Sub.
-const char *binName(uint8_t Sub) {
+const char *ExecPlan::binName(uint8_t Sub) {
   switch (Sub & 0x7) {
   case 0:
     return "add";
@@ -478,6 +417,8 @@ const char *binName(uint8_t Sub) {
   }
 }
 
+namespace {
+
 void printIndexList(std::ostream &OS, const std::vector<int32_t> &Pool,
                     int32_t Offset, uint32_t Count) {
   OS << '[';
@@ -491,140 +432,136 @@ void printIndexList(std::ostream &OS, const std::vector<int32_t> &Pool,
 
 } // namespace
 
+void ExecPlan::printPc(std::ostream &OS, size_t Pc) {
+  OS << "  ";
+  // Fixed-width PC keeps goldens aligned without depending on locale.
+  if (Pc < 10)
+    OS << ' ';
+  if (Pc < 100)
+    OS << ' ';
+  OS << Pc << ": ";
+}
+
+void ExecPlan::printGenericShape(std::ostream &OS, const GenericPlan &G) {
+  OS << " ranges=[";
+  for (size_t K = 0; K < G.Ranges.size(); ++K)
+    OS << (K ? ", " : "") << G.Ranges[K];
+  OS << "] operands=[";
+  for (size_t K = 0; K < G.Operands.size(); ++K)
+    OS << (K ? ", " : "") << '%' << G.Operands[K].Slot;
+  OS << ']';
+}
+
+void ExecPlan::printInst(std::ostream &OS, const Inst &I,
+                         const std::vector<int32_t> &SlotPool,
+                         const std::vector<AllocPlan> &Allocs,
+                         const std::vector<SubViewPlan> &SubViews,
+                         const std::vector<GenericPlan> &Generics) {
+  switch (I.Code) {
+  case Op::ConstInt:
+    OS << '%' << I.Dst << " = const.i " << I.Imm;
+    break;
+  case Op::ConstFloat: {
+    std::ostringstream Tmp;
+    Tmp << I.FImm;
+    OS << '%' << I.Dst << " = const.f " << Tmp.str();
+    break;
+  }
+  case Op::Binary:
+    OS << '%' << I.Dst << " = " << binName(I.Sub)
+       << ((I.Sub & BinFloatResult) ? ".f %" : ".i %") << I.A << ", %"
+       << I.B;
+    break;
+  case Op::IndexCast:
+    OS << '%' << I.Dst << " = index_cast %" << I.A;
+    break;
+  case Op::LoopBegin:
+    OS << "loop %" << I.Dst << " = [%" << I.A << ", %" << I.B << ") step %"
+       << I.C << " -> @" << I.Aux;
+    break;
+  case Op::LoopEnd:
+    OS << "end -> @" << I.Aux;
+    break;
+  case Op::Alloc: {
+    const AllocPlan &Info = Allocs[I.Aux];
+    OS << '%' << I.Dst << " = alloc ";
+    for (int64_t Dim : Info.Shape)
+      OS << Dim << 'x';
+    OS << (Info.Kind == sim::ElemKind::F32 ? "f32" : "i32");
+    break;
+  }
+  case Op::Dealloc:
+    OS << "dealloc";
+    break;
+  case Op::Load:
+    OS << '%' << I.Dst << " = load %" << I.A;
+    printIndexList(OS, SlotPool, I.Aux, I.Sub);
+    break;
+  case Op::Store:
+    OS << "store %" << I.A << " -> %" << I.B;
+    printIndexList(OS, SlotPool, I.Aux, I.Sub);
+    break;
+  case Op::Copy:
+    OS << "copy %" << I.A << " -> %" << I.B;
+    break;
+  case Op::SubView: {
+    const SubViewPlan &Info = SubViews[I.Aux];
+    OS << '%' << I.Dst << " = subview %" << I.A;
+    printIndexList(OS, SlotPool, Info.PoolOffset, Info.NumOffsets);
+    OS << " sizes=[";
+    for (size_t K = 0; K < Info.StaticSizes.size(); ++K)
+      OS << (K ? ", " : "") << Info.StaticSizes[K];
+    OS << ']';
+    break;
+  }
+  case Op::Generic: {
+    const GenericPlan &G = Generics[I.Aux];
+    OS << "generic";
+    printGenericShape(OS, G);
+    OS << " body=" << G.Body.size();
+    break;
+  }
+  case Op::CallDmaInit:
+    OS << "dma_init #" << I.Aux;
+    break;
+  case Op::CallCopyToDma:
+    OS << '%' << I.Dst << " = copy_to_dma %" << I.A << " @ %" << I.B;
+    break;
+  case Op::CallCopyLiteralToDma:
+    OS << '%' << I.Dst << " = copy_literal_to_dma %" << I.A << " @ %"
+       << I.B;
+    break;
+  case Op::CallStartSend:
+    OS << "start_send end=%" << I.A << " off=%" << I.B;
+    break;
+  case Op::CallWaitSend:
+    OS << "wait_send";
+    break;
+  case Op::CallStartRecv:
+    OS << "start_recv len=%" << I.A << " off=%" << I.B;
+    break;
+  case Op::CallWaitRecv:
+    OS << "wait_recv";
+    break;
+  case Op::CallCopyFromDma:
+    OS << "copy_from_dma %" << I.A << " @ %" << I.B
+       << (I.Sub ? " accumulate" : "");
+    break;
+  case Op::CallSendFused:
+    OS << "send end=%" << I.A << " off=%" << I.B;
+    break;
+  case Op::CallRecvFused:
+    OS << "recv len=%" << I.A << " off=%" << I.B;
+    break;
+  }
+}
+
 void ExecPlan::print(std::ostream &OS) const {
   OS << "plan @" << FuncName << " args=" << NumArgs << " slots=" << NumSlots
      << " insts=" << Program.size() << "\n";
   for (size_t Pc = 0; Pc < Program.size(); ++Pc) {
-    const Inst &I = Program[Pc];
-    OS << "  ";
-    // Fixed-width PC keeps goldens aligned without depending on locale.
-    if (Pc < 10)
-      OS << ' ';
-    if (Pc < 100)
-      OS << ' ';
-    OS << Pc << ": ";
-    switch (I.Code) {
-    case Op::ConstInt:
-      OS << '%' << I.Dst << " = const.i " << I.Imm;
-      break;
-    case Op::ConstFloat: {
-      std::ostringstream Tmp;
-      Tmp << I.FImm;
-      OS << '%' << I.Dst << " = const.f " << Tmp.str();
-      break;
-    }
-    case Op::Binary:
-      OS << '%' << I.Dst << " = " << binName(I.Sub)
-         << ((I.Sub & BinFloatResult) ? ".f %" : ".i %") << I.A << ", %"
-         << I.B;
-      break;
-    case Op::IndexCast:
-      OS << '%' << I.Dst << " = index_cast %" << I.A;
-      break;
-    case Op::LoopBegin:
-      OS << "loop %" << I.Dst << " = [%" << I.A << ", %" << I.B << ") step %"
-         << I.C << " -> @" << I.Aux;
-      break;
-    case Op::LoopEnd:
-      OS << "end -> @" << I.Aux;
-      break;
-    case Op::Alloc: {
-      const AllocPlan &Info = Allocs[I.Aux];
-      OS << '%' << I.Dst << " = alloc ";
-      for (int64_t Dim : Info.Shape)
-        OS << Dim << 'x';
-      OS << (Info.Kind == sim::ElemKind::F32 ? "f32" : "i32");
-      break;
-    }
-    case Op::Dealloc:
-      OS << "dealloc";
-      break;
-    case Op::Load:
-      OS << '%' << I.Dst << " = load %" << I.A;
-      printIndexList(OS, SlotPool, I.Aux, I.Sub);
-      break;
-    case Op::Store:
-      OS << "store %" << I.A << " -> %" << I.B;
-      printIndexList(OS, SlotPool, I.Aux, I.Sub);
-      break;
-    case Op::Copy:
-      OS << "copy %" << I.A << " -> %" << I.B;
-      break;
-    case Op::SubView: {
-      const SubViewPlan &Info = SubViews[I.Aux];
-      OS << '%' << I.Dst << " = subview %" << I.A;
-      printIndexList(OS, SlotPool, Info.PoolOffset, Info.NumOffsets);
-      OS << " sizes=[";
-      for (size_t K = 0; K < Info.StaticSizes.size(); ++K)
-        OS << (K ? ", " : "") << Info.StaticSizes[K];
-      OS << ']';
-      break;
-    }
-    case Op::Generic: {
-      const GenericPlan &G = Generics[I.Aux];
-      OS << "generic ranges=[";
-      for (size_t K = 0; K < G.Ranges.size(); ++K)
-        OS << (K ? ", " : "") << G.Ranges[K];
-      OS << "] operands=[";
-      for (size_t K = 0; K < G.Operands.size(); ++K)
-        OS << (K ? ", " : "") << '%' << G.Operands[K].Slot;
-      OS << "] body=" << G.Body.size();
-      break;
-    }
-    case Op::AccelDmaInit:
-      OS << "accel.dma_init #" << I.Aux;
-      break;
-    case Op::AccelSendLiteral:
-      OS << '%' << I.Dst << " = accel.send_literal " << I.Imm << " @ %"
-         << I.A;
-      break;
-    case Op::AccelSend:
-      OS << '%' << I.Dst << " = accel.send %" << I.A << " @ %" << I.B;
-      break;
-    case Op::AccelSendDim:
-      OS << '%' << I.Dst << " = accel.send_dim %" << I.A
-         << (I.Sub ? " size=" : " dim=") << I.Imm << " @ %" << I.B;
-      break;
-    case Op::AccelSendIdx:
-      OS << '%' << I.Dst << " = accel.send_idx %" << I.A << " @ %" << I.B;
-      break;
-    case Op::AccelRecv:
-      OS << '%' << I.Dst << " = accel.recv %" << I.A
-         << (I.Sub ? " accumulate" : "");
-      break;
-    case Op::CallDmaInit:
-      OS << "dma_init #" << I.Aux;
-      break;
-    case Op::CallCopyToDma:
-      OS << '%' << I.Dst << " = copy_to_dma %" << I.A << " @ %" << I.B;
-      break;
-    case Op::CallCopyLiteralToDma:
-      OS << '%' << I.Dst << " = copy_literal_to_dma %" << I.A << " @ %"
-         << I.B;
-      break;
-    case Op::CallStartSend:
-      OS << "start_send end=%" << I.A << " off=%" << I.B;
-      break;
-    case Op::CallWaitSend:
-      OS << "wait_send";
-      break;
-    case Op::CallStartRecv:
-      OS << "start_recv len=%" << I.A << " off=%" << I.B;
-      break;
-    case Op::CallWaitRecv:
-      OS << "wait_recv";
-      break;
-    case Op::CallCopyFromDma:
-      OS << "copy_from_dma %" << I.A << " @ %" << I.B
-         << (I.Sub ? " accumulate" : "");
-      break;
-    case Op::CallSendFused:
-      OS << "send end=%" << I.A << " off=%" << I.B;
-      break;
-    case Op::CallRecvFused:
-      OS << "recv len=%" << I.A << " off=%" << I.B;
-      break;
-    }
+    printPc(OS, Pc);
+    printInst(OS, Program[Pc], SlotPool, Allocs, SubViews, Generics);
     OS << "\n";
   }
 }
@@ -842,75 +779,7 @@ LogicalResult ExecPlan::runSpan(const std::vector<Inst> &Code,
     }
 
     //===----------------------------------------------------------------===//
-    // accel ops (each performs its own staged copy + transfer)
-    //===----------------------------------------------------------------===//
-    case Op::AccelDmaInit:
-    case Op::AccelSendLiteral:
-    case Op::AccelSend:
-    case Op::AccelSendDim:
-    case Op::AccelSendIdx:
-    case Op::AccelRecv: {
-      if (!S.Runtime)
-        return S.fail("accel op executed without a DMA runtime");
-      runtime::DmaRuntime &Rt = *S.Runtime;
-      if (I.Code == Op::AccelDmaInit) {
-        Rt.dmaInit(DmaConfigs[I.Aux]);
-        break;
-      }
-      if (I.Code == Op::AccelRecv) {
-        const MemRefDesc &Desc = S.Cells[I.A].M;
-        Rt.dmaStartRecv(Desc.numElements(), 0);
-        Rt.dmaWaitRecvCompletion();
-        Rt.copyFromDmaRegion(Desc, 0, I.Sub != 0);
-        Cell &C = S.Cells[I.Dst];
-        C.Tag = Cell::Kind::Int;
-        C.I = 0;
-        // Stop issuing work the moment a runtime call fails (recovery has
-        // already absorbed what it could).
-        if (Rt.status() != sim::AccelStatus::Ok)
-          return S.fail(Rt.statusErrorText());
-        break;
-      }
-      int64_t Offset = S.Cells[I.Code == Op::AccelSendLiteral ? I.A : I.B].I;
-      int64_t End = 0;
-      switch (I.Code) {
-      case Op::AccelSendLiteral:
-        End = Rt.copyLiteralToDmaRegion(static_cast<int32_t>(I.Imm), Offset);
-        break;
-      case Op::AccelSend:
-        End = Rt.copyToDmaRegion(S.Cells[I.A].M, Offset);
-        break;
-      case Op::AccelSendDim: {
-        const MemRefDesc &Desc = S.Cells[I.A].M;
-        if (!I.Sub && (I.Imm < 0 ||
-                       static_cast<size_t>(I.Imm) >= Desc.Sizes.size()))
-          return S.fail("accel.send_dim reads dimension " +
-                        std::to_string(I.Imm) + " of a rank-" +
-                        std::to_string(Desc.Sizes.size()) + " memref");
-        int64_t Size =
-            I.Sub ? I.Imm : Desc.Sizes[static_cast<size_t>(I.Imm)];
-        End = Rt.copyLiteralToDmaRegion(static_cast<int32_t>(Size), Offset);
-        break;
-      }
-      case Op::AccelSendIdx:
-        End = Rt.copyLiteralToDmaRegion(
-            static_cast<int32_t>(S.Cells[I.A].I), Offset);
-        break;
-      default:
-        break;
-      }
-      Rt.dmaStartSend(End - Offset, Offset);
-      Rt.dmaWaitSendCompletion();
-      Cell &C = S.Cells[I.Dst];
-      C.Tag = Cell::Kind::Int;
-      C.I = End;
-      if (Rt.status() != sim::AccelStatus::Ok)
-        return S.fail(Rt.statusErrorText());
-      break;
-    }
-
-    //===----------------------------------------------------------------===//
-    // axirt runtime calls (batched transfers; the fully lowered form)
+    // axirt runtime calls
     //===----------------------------------------------------------------===//
     case Op::CallDmaInit:
     case Op::CallCopyToDma:

@@ -23,12 +23,15 @@
 ///     permutations) or affine-expression evaluations (no vectors
 ///     allocated per point) and the payload pre-compiled.
 ///
+/// Two forms compile: linalg.generic host code (the mlir_CPU baseline) and
+/// the fully lowered axirt driver. Accel-dialect ops are refused; they run
+/// only after convert-accel-to-runtime has turned them into runtime calls.
+///
 /// The modeled perf counters (HostPerfModel) charged during execution are
-/// bit-identical to the legacy walker's: the same events fire in the same
-/// order with the same addresses. ExecPlanTest asserts this across all
-/// three abstraction levels. A plan owns copies of everything it needs
-/// (shapes, configs, affine maps), so it stays valid after the IR is
-/// mutated or destroyed.
+/// bit-identical to the walker's: the same events fire in the same order
+/// with the same addresses. ExecPlanTest asserts this for both forms. A
+/// plan owns copies of everything it needs (shapes, configs, affine maps),
+/// so it stays valid after the IR is mutated or destroyed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,6 +62,11 @@ struct DecodedProgram;
 namespace opt {
 class PlanOptimizer;
 } // namespace opt
+
+/// The diagnostic the plan compiler and the walker both give for an
+/// operation they cannot execute. For an accel-dialect op it names
+/// convert-accel-to-runtime, the lowering that makes the driver executable.
+std::string unsupportedOpError(const std::string &OpName);
 
 /// One function compiled to a flat instruction program.
 class ExecPlan {
@@ -125,12 +133,6 @@ private:
     Copy,
     SubView,
     Generic,
-    AccelDmaInit,
-    AccelSendLiteral,
-    AccelSend,
-    AccelSendDim,
-    AccelSendIdx,
-    AccelRecv,
     CallDmaInit,
     CallCopyToDma,
     CallCopyLiteralToDma,
@@ -203,6 +205,20 @@ private:
   };
 
   struct ExecState;
+
+  /// The one instruction printer. printInst writes \p I's text (no PC
+  /// column, no newline) against the given side tables; DecodedPlan::print
+  /// reuses it for every opcode the decoded program shares with the plan.
+  static void printPc(std::ostream &OS, size_t Pc);
+  static void printInst(std::ostream &OS, const Inst &I,
+                        const std::vector<int32_t> &SlotPool,
+                        const std::vector<AllocPlan> &Allocs,
+                        const std::vector<SubViewPlan> &SubViews,
+                        const std::vector<GenericPlan> &Generics);
+  /// " ranges=[...] operands=[...]" of a linalg.generic site.
+  static void printGenericShape(std::ostream &OS, const GenericPlan &G);
+  /// Binary-op mnemonic for Inst::Sub ("add", "mul", ...).
+  static const char *binName(uint8_t Sub);
 
   static void fuseTransferPairs(std::vector<Inst> &Program,
                                 unsigned &FusedSends, unsigned &FusedRecvs);

@@ -25,16 +25,6 @@ using namespace axi4mlir;
 using namespace axi4mlir::exec;
 using runtime::MemRefDesc;
 
-/// Dispatch backend selection: computed goto is a GNU extension available
-/// on GCC and Clang; everything else (or a build with
-/// AXI4MLIR_FORCE_SWITCH_DISPATCH defined) uses the portable switch loop.
-#if defined(AXI4MLIR_FORCE_SWITCH_DISPATCH) || \
-    !(defined(__GNUC__) || defined(__clang__))
-#define AXI4MLIR_SWITCH_DISPATCH 1
-#else
-#define AXI4MLIR_SWITCH_DISPATCH 0
-#endif
-
 //===----------------------------------------------------------------------===//
 // ExecMode
 //===----------------------------------------------------------------------===//
@@ -183,12 +173,6 @@ struct DecodedProgram {
     Copy,
     SubView,
     Generic,
-    AccelDmaInit,
-    AccelSendLiteral,
-    AccelSend,
-    AccelSendDim,
-    AccelSendIdx,
-    AccelRecv,
     CallDmaInit,
     CallCopyToDma,
     CallCopyLiteralToDma,
@@ -335,7 +319,7 @@ void DecodedProgram::decodeSpan(const std::vector<Inst> &In,
   Out.reserve(In.size() + 1);
   for (const Inst &I : In) {
     DInst D;
-    // ExecPlan::Op and the first 29 DOp values coincide numerically.
+    // ExecPlan::Op and the DOp prefix coincide numerically.
     D.Code = static_cast<DOp>(static_cast<uint8_t>(I.Code));
     D.Sub = I.Sub;
     D.Dst = I.Dst;
@@ -374,7 +358,6 @@ void DecodedProgram::decodeSpan(const std::vector<Inst> &In,
       }
       break;
     }
-    case PlanOp::AccelDmaInit:
     case PlanOp::CallDmaInit:
       D.Side = &DmaConfigs[I.Aux];
       break;
@@ -513,13 +496,10 @@ void DecodedProgram::decode(const ExecPlan &Plan) {
 // Dispatch loop
 //===----------------------------------------------------------------------===//
 
-#if AXI4MLIR_SWITCH_DISPATCH
-#define OP(name) case DOp::name
-#define DISPATCH() continue
-#else
-#define OP(name) H_##name
+// Token threading: every handler ends by jumping straight to the next
+// instruction's handler through the table (computed goto, a GNU extension
+// GCC and Clang both provide).
 #define DISPATCH() goto *JumpTable[static_cast<uint8_t>(Ip->Code)]
-#endif
 
 // Runtime-facing handlers bounce out the moment a DMA call reports a
 // non-Ok status, with the same failure text as the other two executors
@@ -535,7 +515,6 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
   Cell *Cells = S.Cells.data();
   const DInst *Ip = Base;
 
-#if !AXI4MLIR_SWITCH_DISPATCH
   // One entry per DOp, in DOp order.
   static const void *const JumpTable[NumDOps] = {
       &&H_ConstInt,
@@ -551,12 +530,6 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
       &&H_Copy,
       &&H_SubView,
       &&H_Generic,
-      &&H_AccelDmaInit,
-      &&H_AccelSendLiteral,
-      &&H_AccelSend,
-      &&H_AccelSendDim,
-      &&H_AccelSendIdx,
-      &&H_AccelRecv,
       &&H_CallDmaInit,
       &&H_CallCopyToDma,
       &&H_CallCopyLiteralToDma,
@@ -573,26 +546,22 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
       &&H_Return,
   };
   DISPATCH();
-#else
-  for (;;) {
-    switch (Ip->Code) {
-#endif
 
-  OP(ConstInt) : {
+  H_ConstInt: {
     Cell &C = Cells[Ip->Dst];
     C.Tag = Cell::Kind::Int;
     C.I = Ip->Imm;
     ++Ip;
     DISPATCH();
   }
-  OP(ConstFloat) : {
+  H_ConstFloat: {
     Cell &C = Cells[Ip->Dst];
     C.Tag = Cell::Kind::Float;
     C.F = Ip->FImm;
     ++Ip;
     DISPATCH();
   }
-  OP(Binary) : {
+  H_Binary: {
     const Cell &LHS = Cells[Ip->A];
     const Cell &RHS = Cells[Ip->B];
     Perf.onArith(1);
@@ -630,12 +599,12 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(IndexCast) : {
+  H_IndexCast: {
     Cells[Ip->Dst] = Cells[Ip->A];
     ++Ip;
     DISPATCH();
   }
-  OP(LoopBegin) : {
+  H_LoopBegin: {
     int64_t LowerBound = Cells[Ip->A].I;
     int64_t UpperBound = Cells[Ip->B].I;
     int64_t Step = Cells[Ip->C].I;
@@ -652,7 +621,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(LoopEnd) : {
+  H_LoopEnd: {
     Cell &Iv = Cells[Ip->Dst];
     int64_t Next = Iv.I + Cells[Ip->C].I;
     if (Next < Cells[Ip->B].I) {
@@ -664,7 +633,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(Alloc) : {
+  H_Alloc: {
     const AllocPlan &Info = *static_cast<const AllocPlan *>(Ip->Side);
     Perf.onArith(10); // allocator call
     Cell &C = Cells[Ip->Dst];
@@ -673,12 +642,12 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(Dealloc) : {
+  H_Dealloc: {
     Perf.onArith(10);
     ++Ip;
     DISPATCH();
   }
-  OP(Load) : {
+  H_Load: {
     const MemRefDesc &Desc = Cells[Ip->A].M;
     const int32_t *IndexSlots = Ip->Pool;
     int64_t Linear = Desc.Offset;
@@ -695,7 +664,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(Store) : {
+  H_Store: {
     const MemRefDesc &Desc = Cells[Ip->B].M;
     const int32_t *IndexSlots = Ip->Pool;
     int64_t Linear = Desc.Offset;
@@ -712,7 +681,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(Copy) : {
+  H_Copy: {
     const MemRefDesc &Source = Cells[Ip->A].M;
     const MemRefDesc &Dest = Cells[Ip->B].M;
     if (Source.Sizes != Dest.Sizes)
@@ -724,7 +693,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(SubView) : {
+  H_SubView: {
     const SubViewPlan &Info = *static_cast<const SubViewPlan *>(Ip->Side);
     const MemRefDesc &Source = Cells[Ip->A].M;
     S.Scratch.clear();
@@ -738,7 +707,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(Generic) : {
+  H_Generic: {
     const auto &DG = *static_cast<const DecodedGeneric *>(Ip->Side);
     if (failed(runOdometer(DG, S)))
       return failure();
@@ -747,108 +716,16 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
   }
 
   //===--------------------------------------------------------------------===//
-  // accel ops (each performs its own staged copy + transfer)
+  // axirt runtime calls
   //===--------------------------------------------------------------------===//
-  OP(AccelDmaInit) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    S.Runtime->dmaInit(*static_cast<const accel::DmaInitConfig *>(Ip->Side));
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelSendLiteral) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    int64_t Offset = Cells[Ip->A].I;
-    int64_t End =
-        Rt.copyLiteralToDmaRegion(static_cast<int32_t>(Ip->Imm), Offset);
-    Rt.dmaStartSend(End - Offset, Offset);
-    Rt.dmaWaitSendCompletion();
-    RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelSend) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    int64_t Offset = Cells[Ip->B].I;
-    int64_t End = Rt.copyToDmaRegion(Cells[Ip->A].M, Offset);
-    Rt.dmaStartSend(End - Offset, Offset);
-    Rt.dmaWaitSendCompletion();
-    RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelSendDim) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    int64_t Offset = Cells[Ip->B].I;
-    const MemRefDesc &Desc = Cells[Ip->A].M;
-    int64_t Size =
-        Ip->Sub ? Ip->Imm : Desc.Sizes[static_cast<size_t>(Ip->Imm)];
-    int64_t End =
-        Rt.copyLiteralToDmaRegion(static_cast<int32_t>(Size), Offset);
-    Rt.dmaStartSend(End - Offset, Offset);
-    Rt.dmaWaitSendCompletion();
-    RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelSendIdx) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    int64_t Offset = Cells[Ip->B].I;
-    int64_t End = Rt.copyLiteralToDmaRegion(
-        static_cast<int32_t>(Cells[Ip->A].I), Offset);
-    Rt.dmaStartSend(End - Offset, Offset);
-    Rt.dmaWaitSendCompletion();
-    RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelRecv) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    const MemRefDesc &Desc = Cells[Ip->A].M;
-    Rt.dmaStartRecv(Desc.numElements(), 0);
-    Rt.dmaWaitRecvCompletion();
-    Rt.copyFromDmaRegion(Desc, 0, Ip->Sub != 0);
-    RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = 0;
-    ++Ip;
-    DISPATCH();
-  }
-
-  //===--------------------------------------------------------------------===//
-  // axirt runtime calls (batched transfers; the fully lowered form)
-  //===--------------------------------------------------------------------===//
-  OP(CallDmaInit) : {
+  H_CallDmaInit: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaInit(*static_cast<const accel::DmaInitConfig *>(Ip->Side));
     ++Ip;
     DISPATCH();
   }
-  OP(CallCopyToDma) : {
+  H_CallCopyToDma: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     int64_t End =
@@ -860,7 +737,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(CallCopyLiteralToDma) : {
+  H_CallCopyLiteralToDma: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     int64_t End = S.Runtime->copyLiteralToDmaRegion(
@@ -872,7 +749,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(CallStartSend) : {
+  H_CallStartSend: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaStartSend(Cells[Ip->A].I - Cells[Ip->B].I, Cells[Ip->B].I);
@@ -880,7 +757,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(CallWaitSend) : {
+  H_CallWaitSend: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaWaitSendCompletion();
@@ -888,7 +765,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(CallStartRecv) : {
+  H_CallStartRecv: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaStartRecv(Cells[Ip->A].I, Cells[Ip->B].I);
@@ -896,7 +773,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(CallWaitRecv) : {
+  H_CallWaitRecv: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaWaitRecvCompletion();
@@ -904,7 +781,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(CallCopyFromDma) : {
+  H_CallCopyFromDma: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->copyFromDmaRegion(Cells[Ip->A].M, Cells[Ip->B].I,
@@ -913,7 +790,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(CallSendFused) : {
+  H_CallSendFused: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaStartSend(Cells[Ip->A].I - Cells[Ip->B].I, Cells[Ip->B].I);
@@ -922,7 +799,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(CallRecvFused) : {
+  H_CallRecvFused: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaStartRecv(Cells[Ip->A].I, Cells[Ip->B].I);
@@ -936,7 +813,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
   // specialized generic kernels (fall back to the odometer whenever the
   // runtime element kinds contradict the decode-time classification)
   //===--------------------------------------------------------------------===//
-  OP(GenericMulAdd) : {
+  H_GenericMulAdd: {
     const auto &DG = *static_cast<const DecodedGeneric *>(Ip->Side);
     int F32 = classifyKinds(DG, S);
     bool WantF = (DG.MulSub & ExecPlan::BinFloatResult) != 0;
@@ -952,7 +829,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(GenericCopy) : {
+  H_GenericCopy: {
     const auto &DG = *static_cast<const DecodedGeneric *>(Ip->Side);
     int F32 = classifyKinds(DG, S);
     if (F32 < 0) {
@@ -966,7 +843,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  OP(GenericEltwise) : {
+  H_GenericEltwise: {
     const auto &DG = *static_cast<const DecodedGeneric *>(Ip->Side);
     int F32 = classifyKinds(DG, S);
     bool WantF = (DG.EltSub & ExecPlan::BinFloatResult) != 0;
@@ -982,15 +859,10 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     DISPATCH();
   }
 
-  OP(Return) : { return success(); }
-
-#if AXI4MLIR_SWITCH_DISPATCH
-    }
-  }
-#endif
+  H_Return:
+    return success();
 }
 
-#undef OP
 #undef DISPATCH
 #undef RT_STATUS_CHECK
 
@@ -1353,193 +1225,46 @@ LogicalResult DecodedProgram::run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
 // Disassembly
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-const char *binName(uint8_t Sub) {
-  switch (Sub & 0x7) {
-  case 0:
-    return "add";
-  case 1:
-    return "mul";
-  case 2:
-    return "sub";
-  case 3:
-    return "div";
-  case 4:
-    return "max";
-  default:
-    return "bin?";
-  }
-}
-
-void printIndexList(std::ostream &OS, const int32_t *Pool, uint32_t Count) {
-  OS << '[';
-  for (uint32_t K = 0; K < Count; ++K) {
-    if (K)
-      OS << ", ";
-    OS << '%' << Pool[K];
-  }
-  OS << ']';
-}
-
-} // namespace
-
 void DecodedProgram::print(std::ostream &OS) const {
   OS << "dplan @" << FuncName << " args=" << NumArgs << " slots=" << NumSlots
      << " insts=" << (Code.size() - 1) << "+ret kernels=" << NumSpecialized
      << "\n";
   for (size_t Pc = 0; Pc < Code.size(); ++Pc) {
     const DInst &I = Code[Pc];
-    OS << "  ";
-    if (Pc < 10)
-      OS << ' ';
-    if (Pc < 100)
-      OS << ' ';
-    OS << Pc << ": ";
+    ExecPlan::printPc(OS, Pc);
     switch (I.Code) {
-    case DOp::ConstInt:
-      OS << '%' << I.Dst << " = const.i " << I.Imm;
-      break;
-    case DOp::ConstFloat: {
-      std::ostringstream Tmp;
-      Tmp << I.FImm;
-      OS << '%' << I.Dst << " = const.f " << Tmp.str();
-      break;
-    }
-    case DOp::Binary:
-      OS << '%' << I.Dst << " = " << binName(I.Sub)
-         << ((I.Sub & ExecPlan::BinFloatResult) ? ".f %" : ".i %") << I.A
-         << ", %" << I.B;
-      break;
-    case DOp::IndexCast:
-      OS << '%' << I.Dst << " = index_cast %" << I.A;
-      break;
-    case DOp::LoopBegin:
-      OS << "loop %" << I.Dst << " = [%" << I.A << ", %" << I.B << ") step %"
-         << I.C << " -> @" << I.Aux;
-      break;
-    case DOp::LoopEnd:
-      OS << "end -> @" << I.Aux;
-      break;
-    case DOp::Alloc: {
-      const AllocPlan &Info = *static_cast<const AllocPlan *>(I.Side);
-      OS << '%' << I.Dst << " = alloc ";
-      for (int64_t Dim : Info.Shape)
-        OS << Dim << 'x';
-      OS << (Info.Kind == sim::ElemKind::F32 ? "f32" : "i32");
-      break;
-    }
-    case DOp::Dealloc:
-      OS << "dealloc";
-      break;
-    case DOp::Load:
-      OS << '%' << I.Dst << " = load %" << I.A;
-      printIndexList(OS, I.Pool, I.Sub);
-      break;
-    case DOp::Store:
-      OS << "store %" << I.A << " -> %" << I.B;
-      printIndexList(OS, I.Pool, I.Sub);
-      break;
-    case DOp::Copy:
-      OS << "copy %" << I.A << " -> %" << I.B;
-      break;
-    case DOp::SubView: {
-      const SubViewPlan &Info = *static_cast<const SubViewPlan *>(I.Side);
-      OS << '%' << I.Dst << " = subview %" << I.A;
-      printIndexList(OS, SlotPool.data() + Info.PoolOffset, Info.NumOffsets);
-      OS << " sizes=[";
-      for (size_t K = 0; K < Info.StaticSizes.size(); ++K)
-        OS << (K ? ", " : "") << Info.StaticSizes[K];
-      OS << ']';
-      break;
-    }
-    case DOp::Generic:
     case DOp::GenericMulAdd:
     case DOp::GenericCopy:
     case DOp::GenericEltwise: {
       const auto &DG = *static_cast<const DecodedGeneric *>(I.Side);
-      const GenericPlan &G = *DG.G;
-      OS << "generic";
-      switch (I.Code) {
-      case DOp::GenericMulAdd:
-        OS << ".muladd";
-        break;
-      case DOp::GenericCopy:
-        OS << ".copy";
-        break;
-      case DOp::GenericEltwise:
-        OS << ".eltwise." << binName(DG.EltSub);
-        break;
-      default:
-        break;
-      }
-      OS << " ranges=[";
-      for (size_t K = 0; K < G.Ranges.size(); ++K)
-        OS << (K ? ", " : "") << G.Ranges[K];
-      OS << "] operands=[";
-      for (size_t K = 0; K < G.Operands.size(); ++K)
-        OS << (K ? ", " : "") << '%' << G.Operands[K].Slot;
-      OS << ']';
-      if (I.Code == DOp::Generic)
-        OS << " body=" << G.Body.size();
+      if (I.Code == DOp::GenericMulAdd)
+        OS << "generic.muladd";
+      else if (I.Code == DOp::GenericCopy)
+        OS << "generic.copy";
+      else
+        OS << "generic.eltwise." << ExecPlan::binName(DG.EltSub);
+      ExecPlan::printGenericShape(OS, *DG.G);
       break;
     }
-    case DOp::AccelDmaInit:
-      OS << "accel.dma_init #" << I.Aux;
-      break;
-    case DOp::AccelSendLiteral:
-      OS << '%' << I.Dst << " = accel.send_literal " << I.Imm << " @ %"
-         << I.A;
-      break;
-    case DOp::AccelSend:
-      OS << '%' << I.Dst << " = accel.send %" << I.A << " @ %" << I.B;
-      break;
-    case DOp::AccelSendDim:
-      OS << '%' << I.Dst << " = accel.send_dim %" << I.A
-         << (I.Sub ? " size=" : " dim=") << I.Imm << " @ %" << I.B;
-      break;
-    case DOp::AccelSendIdx:
-      OS << '%' << I.Dst << " = accel.send_idx %" << I.A << " @ %" << I.B;
-      break;
-    case DOp::AccelRecv:
-      OS << '%' << I.Dst << " = accel.recv %" << I.A
-         << (I.Sub ? " accumulate" : "");
-      break;
-    case DOp::CallDmaInit:
-      OS << "dma_init #" << I.Aux;
-      break;
-    case DOp::CallCopyToDma:
-      OS << '%' << I.Dst << " = copy_to_dma %" << I.A << " @ %" << I.B;
-      break;
-    case DOp::CallCopyLiteralToDma:
-      OS << '%' << I.Dst << " = copy_literal_to_dma %" << I.A << " @ %"
-         << I.B;
-      break;
-    case DOp::CallStartSend:
-      OS << "start_send end=%" << I.A << " off=%" << I.B;
-      break;
-    case DOp::CallWaitSend:
-      OS << "wait_send";
-      break;
-    case DOp::CallStartRecv:
-      OS << "start_recv len=%" << I.A << " off=%" << I.B;
-      break;
-    case DOp::CallWaitRecv:
-      OS << "wait_recv";
-      break;
-    case DOp::CallCopyFromDma:
-      OS << "copy_from_dma %" << I.A << " @ %" << I.B
-         << (I.Sub ? " accumulate" : "");
-      break;
-    case DOp::CallSendFused:
-      OS << "send end=%" << I.A << " off=%" << I.B;
-      break;
-    case DOp::CallRecvFused:
-      OS << "recv len=%" << I.A << " off=%" << I.B;
-      break;
     case DOp::Return:
       OS << "ret";
       break;
+    default: {
+      // Every other opcode is the plan's own: the decoded copies of the
+      // side tables keep the plan's indices, so the plan printer applies.
+      Inst Shared;
+      Shared.Code = static_cast<PlanOp>(static_cast<uint8_t>(I.Code));
+      Shared.Sub = I.Sub;
+      Shared.Dst = I.Dst;
+      Shared.A = I.A;
+      Shared.B = I.B;
+      Shared.C = I.C;
+      Shared.Aux = I.Aux;
+      Shared.Imm = I.Imm;
+      Shared.FImm = I.FImm;
+      ExecPlan::printInst(OS, Shared, SlotPool, Allocs, SubViews, Generics);
+      break;
+    }
     }
     OS << "\n";
   }
@@ -1578,14 +1303,6 @@ std::string DecodedPlan::printToString() const {
 
 unsigned DecodedPlan::numSpecializedKernels() const {
   return Impl->NumSpecialized;
-}
-
-bool DecodedPlan::usesComputedGoto() {
-#if AXI4MLIR_SWITCH_DISPATCH
-  return false;
-#else
-  return true;
-#endif
 }
 
 } // namespace exec

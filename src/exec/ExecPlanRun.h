@@ -9,9 +9,8 @@
 /// stage rewrites the plan's instruction vector once into a
 /// dispatch-ready program (dense jump-table opcodes, side-table indices and
 /// slot-pool offsets resolved to raw pointers, specialized micro-kernels
-/// bound per linalg.generic), which a token-threaded dispatch loop then
-/// executes — computed goto on GCC/Clang, a portable switch fallback
-/// behind AXI4MLIR_FORCE_SWITCH_DISPATCH.
+/// bound per linalg.generic), which one token-threaded computed-goto loop
+/// then executes (a GNU extension; the tree builds with GCC or Clang only).
 ///
 /// At decode time the common `linalg.generic` body shapes are recognized
 /// and bound to straight-line C++ micro-kernels with hardwired inner-loop
@@ -68,16 +67,13 @@ public:
                     std::string &Error) const;
 
   /// Disassembles the dispatch-ready program (golden-pinned in
-  /// ExecPlanTest, matching the ExecPlan::print goldens).
+  /// ExecPlanTest). Opcodes shared with the plan print through
+  /// ExecPlan's printer; only kernels and the return sentinel are new.
   void print(std::ostream &OS) const;
   std::string printToString() const;
 
   /// linalg.generic sites bound to a specialized micro-kernel.
   unsigned numSpecializedKernels() const;
-
-  /// True when this build dispatches via computed goto (GCC/Clang and
-  /// not AXI4MLIR_FORCE_SWITCH_DISPATCH).
-  static bool usesComputedGoto();
 
 private:
   DecodedPlan();

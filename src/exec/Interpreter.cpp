@@ -6,7 +6,6 @@
 
 #include "exec/Interpreter.h"
 
-#include "dialects/Accel.h"
 #include "dialects/Arith.h"
 #include "dialects/Linalg.h"
 #include "dialects/MemRef.h"
@@ -230,20 +229,13 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
   }
 
   //===--------------------------------------------------------------------===//
-  // linalg / accel / calls
+  // linalg / runtime calls
   //===--------------------------------------------------------------------===//
   if (isa_op<linalg::GenericOp>(Op))
     return executeLinalgGeneric(Op);
-  // Runtime-facing ops check the structured DMA status on the way out:
-  // the walker stops issuing work the moment a call comes back non-Ok
+  // Runtime calls check the structured DMA status on the way out: the
+  // walker stops issuing work the moment a call comes back non-Ok
   // (recovery has already absorbed whatever it could by then).
-  if (Name.rfind("accel.", 0) == 0) {
-    if (failed(executeAccelOp(Op)))
-      return failure();
-    if (Runtime && Runtime->status() != sim::AccelStatus::Ok)
-      return fail(Runtime->statusErrorText());
-    return success();
-  }
   if (Name == "func.call") {
     if (failed(executeRuntimeCall(Op)))
       return failure();
@@ -252,7 +244,7 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
     return success();
   }
 
-  return fail("interpreter: unsupported operation '" + Name + "'");
+  return fail(unsupportedOpError(Name));
 }
 
 LogicalResult Interpreter::executeLinalgGeneric(Operation *Op) {
@@ -330,71 +322,6 @@ LogicalResult Interpreter::executeLinalgGeneric(Operation *Op) {
     }
   }
   return success();
-}
-
-LogicalResult Interpreter::executeAccelOp(Operation *Op) {
-  if (!Runtime)
-    return fail("accel op executed without a DMA runtime");
-  const std::string &Name = Op->getName();
-
-  if (Name == accel::DmaInitOp::OpName) {
-    Runtime->dmaInit(accel::DmaInitOp(Op).getConfig());
-    return success();
-  }
-  // Each accel op performs its own staged copy + transfer (the batched
-  // form only exists after convert-accel-to-runtime).
-  if (Name == accel::SendLiteralOp::OpName) {
-    int64_t Offset = intValue(Op->getOperand(0));
-    int64_t End = Runtime->copyLiteralToDmaRegion(
-        static_cast<int32_t>(Op->getIntAttr("literal")), Offset);
-    Runtime->dmaStartSend(End - Offset, Offset);
-    Runtime->dmaWaitSendCompletion();
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
-    return success();
-  }
-  if (Name == accel::SendOp::OpName) {
-    int64_t Offset = intValue(Op->getOperand(1));
-    int64_t End =
-        Runtime->copyToDmaRegion(memrefValue(Op->getOperand(0)), Offset);
-    Runtime->dmaStartSend(End - Offset, Offset);
-    Runtime->dmaWaitSendCompletion();
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
-    return success();
-  }
-  if (Name == accel::SendDimOp::OpName) {
-    int64_t Offset = intValue(Op->getOperand(1));
-    const MemRefDesc &Desc = memrefValue(Op->getOperand(0));
-    int64_t Size = Op->hasAttr("static_size")
-                       ? Op->getIntAttr("static_size")
-                       : Desc.Sizes[static_cast<size_t>(
-                             Op->getIntAttr("dim"))];
-    int64_t End = Runtime->copyLiteralToDmaRegion(
-        static_cast<int32_t>(Size), Offset);
-    Runtime->dmaStartSend(End - Offset, Offset);
-    Runtime->dmaWaitSendCompletion();
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
-    return success();
-  }
-  if (Name == accel::SendIdxOp::OpName) {
-    int64_t Offset = intValue(Op->getOperand(1));
-    int64_t End = Runtime->copyLiteralToDmaRegion(
-        static_cast<int32_t>(intValue(Op->getOperand(0))), Offset);
-    Runtime->dmaStartSend(End - Offset, Offset);
-    Runtime->dmaWaitSendCompletion();
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
-    return success();
-  }
-  if (Name == accel::RecvOp::OpName) {
-    accel::RecvOp Recv(Op);
-    const MemRefDesc &Desc = memrefValue(Recv.getMemRef());
-    int64_t Length = Desc.numElements();
-    Runtime->dmaStartRecv(Length, 0);
-    Runtime->dmaWaitRecvCompletion();
-    Runtime->copyFromDmaRegion(Desc, 0, Recv.getMode() == "accumulate");
-    value(Op->getResult(0)) = RuntimeValue::fromInt(0);
-    return success();
-  }
-  return fail("unsupported accel op '" + Name + "'");
 }
 
 LogicalResult Interpreter::executeRuntimeCall(Operation *Op) {

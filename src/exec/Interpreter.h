@@ -11,10 +11,12 @@
 /// perf counters it produces correspond to what the paper measures with
 /// perf (Sec. IV).
 ///
-/// Three abstraction levels are executable, enabling lowering ablations:
+/// Two forms are executable:
 ///   * linalg.generic directly (the mlir_CPU baseline),
-///   * accel-dialect ops (each transaction on its own),
-///   * axirt.* runtime calls (batched transfers; the fully lowered form).
+///   * the axirt driver: axirt.* runtime calls, the form
+///     convert-accel-to-runtime produces and codegen::emitC prints.
+/// Accel-dialect ops are an intermediate IR; both engines refuse them with
+/// a diagnostic naming convert-accel-to-runtime.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +46,7 @@ namespace exec {
 /// decodes the plan once itself (as serve::PlanCache does).
 class Interpreter {
 public:
-  /// \p Runtime may be null for CPU-only functions (no accel/axirt ops).
+  /// \p Runtime may be null for CPU-only functions (no axirt calls).
   Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
               ExecMode Mode = ExecMode::Threaded);
 
@@ -96,7 +98,6 @@ private:
   LogicalResult executeOp(Operation *Op);
   LogicalResult executeLinalgGeneric(Operation *Op);
   LogicalResult executeRuntimeCall(Operation *Op);
-  LogicalResult executeAccelOp(Operation *Op);
 
   RuntimeValue &value(Value V) { return Env[V.getImpl()]; }
   int64_t intValue(Value V) { return value(V).IntVal; }

@@ -201,13 +201,9 @@ private:
     case POp::CallWaitSend:
     case POp::CallWaitRecv:
     case POp::CallDmaInit:
-    case POp::AccelDmaInit:
       return;
     case POp::Binary:
     case POp::Copy:
-    case POp::AccelSend:
-    case POp::AccelSendDim:
-    case POp::AccelSendIdx:
     case POp::CallCopyToDma:
     case POp::CallCopyLiteralToDma:
     case POp::CallStartSend:
@@ -219,8 +215,6 @@ private:
       F(I.B);
       return;
     case POp::IndexCast:
-    case POp::AccelSendLiteral:
-    case POp::AccelRecv:
       F(I.A);
       return;
     case POp::LoopBegin:
@@ -276,11 +270,6 @@ private:
     case POp::Alloc:
     case POp::Load:
     case POp::SubView:
-    case POp::AccelSendLiteral:
-    case POp::AccelSend:
-    case POp::AccelSendDim:
-    case POp::AccelSendIdx:
-    case POp::AccelRecv:
     case POp::CallCopyToDma:
     case POp::CallCopyLiteralToDma:
       return I.Dst;
@@ -606,8 +595,7 @@ private:
 
   /// True if write range \p W at \p Body[Idx] is fully overwritten before
   /// anything can read it. Only the same straight-line level is scanned;
-  /// loops, accel ops and unknown-range region ops stop the scan
-  /// conservatively.
+  /// loops and unknown-range region ops stop the scan conservatively.
   bool deadAfter(std::vector<Node> &Body, size_t Idx, const Range &W,
                  const Analysis &A) {
     for (size_t J = Idx + 1; J < Body.size(); ++J) {
@@ -633,10 +621,6 @@ private:
           return false;
         continue;
       }
-      if (I.Code == POp::AccelDmaInit || I.Code == POp::AccelSendLiteral ||
-          I.Code == POp::AccelSend || I.Code == POp::AccelSendDim ||
-          I.Code == POp::AccelSendIdx || I.Code == POp::AccelRecv)
-        return false;
       // Pure/host instructions never read the staged region.
     }
     return false;
@@ -649,7 +633,7 @@ private:
   struct LoopFacts {
     std::set<int32_t> Written;
     std::vector<Range> InputWrites; // constant-range staging writes
-    bool RegionUnknown = false;     // accel op / dma_init / unknown range
+    bool RegionUnknown = false;     // dma_init / unknown range
     bool HostMemWrite = false;      // store/copy/generic/copy_from/recv
   };
 
@@ -680,7 +664,6 @@ private:
       case POp::Store:
       case POp::Copy:
       case POp::CallCopyFromDma:
-      case POp::AccelRecv:
         Facts.HostMemWrite = true;
         break;
       default:
@@ -698,9 +681,7 @@ private:
         if (!sendRange(I, A, R))
           Facts.RegionUnknown = true;
       }
-      if (I.Code == POp::CallDmaInit || I.Code == POp::AccelDmaInit ||
-          I.Code == POp::AccelSendLiteral || I.Code == POp::AccelSend ||
-          I.Code == POp::AccelSendDim || I.Code == POp::AccelSendIdx)
+      if (I.Code == POp::CallDmaInit)
         Facts.RegionUnknown = true;
     });
   }
@@ -914,12 +895,6 @@ private:
       if (Nd.IsLoop || !Ok)
         return;
       switch (Nd.I.Code) {
-      case POp::AccelDmaInit:
-      case POp::AccelSendLiteral:
-      case POp::AccelSend:
-      case POp::AccelSendDim:
-      case POp::AccelSendIdx:
-      case POp::AccelRecv:
       case POp::CallStartSend: // unfused plan: stay out of its way
       case POp::CallWaitSend:
         Ok = false;

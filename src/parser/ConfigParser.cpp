@@ -162,6 +162,14 @@ static LogicalResult parseDmaConfig(const json::Value &AccelValue,
   Config.OutputAddress = Dma->getInt("outputAddress", Config.OutputAddress);
   Config.OutputBufferSize =
       Dma->getInt("outputBufferSize", Config.OutputBufferSize);
+  // 0 selects the default size; a negative one has no meaning.
+  for (const char *Key : {"inputBufferSize", "outputBufferSize"}) {
+    int64_t Size = Dma->getInt(Key, 0);
+    if (Size < 0)
+      return fail(Error, std::string("'dma_config.") + Key +
+                             "' must not be negative (got " +
+                             std::to_string(Size) + ")");
+  }
   return success();
 }
 

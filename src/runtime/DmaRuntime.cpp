@@ -9,6 +9,7 @@
 #include "runtime/StridedCopy.h"
 
 #include <cassert>
+#include <string>
 
 using namespace axi4mlir;
 using namespace axi4mlir::runtime;
@@ -21,6 +22,25 @@ uint64_t DmaRuntime::regionAddress(bool Input, int64_t OffsetWords) const {
   const sim::DmaEngine &Dma = static_cast<const sim::SoC &>(Soc).dma();
   const uint32_t *Base = Input ? Dma.inputRegion() : Dma.outputRegion();
   return reinterpret_cast<uint64_t>(Base + OffsetWords);
+}
+
+/// Range-checks a staging access of \p Words words at \p OffsetWords
+/// against one region before any word moves. A violation latches a
+/// protocol error on the engine, so the executors' status checks stop the
+/// run, and the caller skips the copy.
+static bool regionAccessFits(sim::DmaEngine &Dma, bool Input,
+                             const char *Call, int64_t OffsetWords,
+                             int64_t Words) {
+  int64_t RegionWords = static_cast<int64_t>(
+      Input ? Dma.inputRegionWords() : Dma.outputRegionWords());
+  if (OffsetWords >= 0 && Words <= RegionWords - OffsetWords)
+    return true;
+  Dma.signalError(std::string("dma: ") + Call + " of " +
+                  std::to_string(Words) + " word(s) at offset " +
+                  std::to_string(OffsetWords) + " exceeds the " +
+                  (Input ? "input" : "output") + " staging region (" +
+                  std::to_string(RegionWords) + " words)");
+  return false;
 }
 
 /// Drops size-1 dimensions from a descriptor: the rank-specialization the
@@ -71,6 +91,10 @@ int64_t DmaRuntime::copyToDmaRegion(const MemRefDesc &Source,
     Soc.dma().signalError("dma: copy_to_dma_region before dma_init");
     return OffsetWords;
   }
+  int64_t Words = Source.numElements();
+  if (!regionAccessFits(Soc.dma(), /*Input=*/true, "copy_to_dma_region",
+                        OffsetWords, Words))
+    return OffsetWords;
   MemRefDesc Collapsed = collapseUnitDims(Source);
   int64_t RegionStrides[detail::MaxCopyRank];
   contiguousStrides(Collapsed.Sizes, RegionStrides);
@@ -85,7 +109,7 @@ int64_t DmaRuntime::copyToDmaRegion(const MemRefDesc &Source,
              regionAddress(/*Input=*/true, OffsetWords), RegionStrides};
   Req.RowMemcpy = SpecializeCopies && rowsAreProfitable(Collapsed);
   stridedCopy(Soc.perf(), Req);
-  return OffsetWords + Collapsed.numElements();
+  return OffsetWords + Words;
 }
 
 int64_t DmaRuntime::copyLiteralToDmaRegion(int32_t Literal,
@@ -94,6 +118,9 @@ int64_t DmaRuntime::copyLiteralToDmaRegion(int32_t Literal,
     Soc.dma().signalError("dma: copy_literal_to_dma_region before dma_init");
     return OffsetWords;
   }
+  if (!regionAccessFits(Soc.dma(), /*Input=*/true,
+                        "copy_literal_to_dma_region", OffsetWords, 1))
+    return OffsetWords;
   Soc.dma().inputRegion()[OffsetWords] = static_cast<uint32_t>(Literal);
   Soc.perf().onScalarStore(regionAddress(/*Input=*/true, OffsetWords), 4);
   Soc.perf().onArith(1);
@@ -126,6 +153,9 @@ void DmaRuntime::copyFromDmaRegion(const MemRefDesc &OriginalDest,
     Soc.dma().signalError("dma: copy_from_dma_region before dma_init");
     return;
   }
+  if (!regionAccessFits(Soc.dma(), /*Input=*/false, "copy_from_dma_region",
+                        OffsetWords, OriginalDest.numElements()))
+    return;
   MemRefDesc Dest = collapseUnitDims(OriginalDest);
   int64_t RegionStrides[detail::MaxCopyRank];
   contiguousStrides(Dest.Sizes, RegionStrides);

@@ -482,6 +482,33 @@ TEST(ConfigParser, RejectsNonPositiveCacheLevels) {
       << Error;
 }
 
+/// A negative staging-region size used to reach DmaEngine::init, which
+/// sized a vector from it and aborted the run; 0 still means the default.
+TEST(ConfigParser, RejectsNegativeDmaBufferSizes) {
+  auto withDma = [](const std::string &DmaFields) {
+    return R"json({ "accelerators": [
+      { "name": "mm", "kernel": "linalg.matmul", "accel_size": 4,
+        "dma_config": { )json" +
+           DmaFields + R"json( },
+        "opcode_map": "opcode_map< s = [send_literal(0x21), send(0), send(1), recv(2)] >",
+        "opcode_flow_map": { "Ns": "(s)" } } ] })json";
+  };
+  for (const char *Key : {"inputBufferSize", "outputBufferSize"}) {
+    std::string Error;
+    EXPECT_TRUE(failed(parseSystemConfig(
+        withDma(std::string("\"") + Key + "\": -64"), &Error)))
+        << Key;
+    EXPECT_EQ(Error, std::string("in accelerators[0]: 'dma_config.") + Key +
+                         "' must not be negative (got -64)");
+  }
+  std::string Error;
+  auto Config = parseSystemConfig(
+      withDma(R"("inputBufferSize": 0, "outputBufferSize": 0x40)"), &Error);
+  ASSERT_TRUE(succeeded(Config)) << Error;
+  EXPECT_EQ(Config->Accelerators[0].DmaConfig.InputBufferSize, 0xFF00);
+  EXPECT_EQ(Config->Accelerators[0].DmaConfig.OutputBufferSize, 0x40);
+}
+
 TEST(ConfigParser, OpcodeActionReferenceValidation) {
   // Each bad opcode_map/flow below is injected into an otherwise valid
   // config with 3 'data' operands (A:[m,k] rank 2) and 3 'dims' names, so

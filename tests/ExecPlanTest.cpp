@@ -6,12 +6,12 @@
 ///
 /// \file
 /// Proves the compile-once/execute-many ExecPlan is indistinguishable from
-/// the legacy tree-walking interpreter on all three abstraction levels
-/// (linalg.generic, accel ops, axirt runtime calls): the plan interpreter
-/// and the threaded engine running the pre-decoded plan both reproduce the
-/// walker's output buffers AND its HostPerfModel counters bit for bit. The
-/// threaded engine is the measurement engine for every figure bench, so
-/// this equivalence is what licenses using it by default.
+/// the tree-walking interpreter on both executable forms (linalg.generic
+/// and the axirt driver): the plan interpreter and the threaded engine
+/// running the pre-decoded plan both reproduce the walker's output buffers
+/// AND its HostPerfModel counters bit for bit. The threaded engine is the
+/// measurement engine for every figure bench, so this equivalence is what
+/// licenses using it by default. Accel-level IR is refused by all three.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -157,7 +157,7 @@ void checkMatMulEquivalence(Level L, int64_t M, int64_t N, int64_t K,
 }
 
 //===----------------------------------------------------------------------===//
-// The three abstraction levels (acceptance criterion)
+// The executable forms, and the accel level that is not one
 //===----------------------------------------------------------------------===//
 
 TEST(ExecPlan, GenericLevelEquivalence) {
@@ -168,8 +168,37 @@ TEST(ExecPlan, GenericLevelEquivalenceF32) {
   checkMatMulEquivalence(Level::Generic, 8, 10, 12, 8, sim::ElemKind::F32);
 }
 
-TEST(ExecPlan, AccelLevelEquivalence) {
-  checkMatMulEquivalence(Level::Accel, 16, 16, 16, 8);
+/// Accel ops are an intermediate IR: the plan compiler and the Interpreter
+/// in both modes refuse a driver lowered only that far, naming the
+/// lowering it still needs, and execute nothing.
+TEST(ExecPlan, AccelLevelIsRefused) {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func = buildMatMulFunc(Builder, 16, 16, 16, sim::ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  ASSERT_TRUE(lowerMatMul(Func, Level::Accel,
+                          parseSingleAccelerator(
+                              makeMatMulConfigJson(V::V3, 8, "Ns"))));
+
+  std::string PlanError;
+  EXPECT_EQ(ExecPlan::compile(Func, PlanError), nullptr);
+  EXPECT_EQ(PlanError, "interpreter: accel-level op 'accel.dma_init' is not "
+                       "executable; lower it with convert-accel-to-runtime "
+                       "first");
+
+  auto Soc = sim::makeMatMulSoC(V::V3, 8);
+  runtime::DmaRuntime Runtime(*Soc);
+  std::vector<MemRefDesc> Args = {MemRefDesc::alloc({16, 16}),
+                                  MemRefDesc::alloc({16, 16}),
+                                  MemRefDesc::alloc({16, 16})};
+  for (ExecMode Mode : {ExecMode::Walker, ExecMode::Threaded}) {
+    Interpreter Interp(*Soc, &Runtime, Mode);
+    std::string Error;
+    EXPECT_TRUE(failed(Interp.run(Func, Args, Error))) << toString(Mode);
+    EXPECT_EQ(Error, PlanError) << toString(Mode);
+  }
+  EXPECT_EQ(Soc->report().DmaTransfers, 0u);
 }
 
 TEST(ExecPlan, AxirtLevelEquivalence) {

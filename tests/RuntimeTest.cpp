@@ -211,6 +211,55 @@ TEST(DmaRuntime, UnitDimCollapseKeepsSemantics) {
     EXPECT_EQ(static_cast<int32_t>(Soc->dma().inputRegion()[I]), 50 + I);
 }
 
+/// Staging copies are range-checked before they touch a region: an access
+/// past either end latches a diagnostic naming the region and both sizes,
+/// and leaves the region and the destination as they were (it used to
+/// write past the input region's heap block).
+TEST(DmaRuntime, StagingCopiesPastTheRegionAreRefused) {
+  auto Soc = makeBoard();
+  DmaRuntime Runtime(*Soc);
+  accel::DmaInitConfig Tiny;
+  Tiny.InputBufferSize = 16 * 4;
+  Tiny.OutputBufferSize = 8 * 4;
+  Runtime.dmaInit(Tiny);
+  MemRefDesc Tile = MemRefDesc::alloc({4, 4});
+  exec::fillRandom(Tile, 3);
+
+  // A whole 16-word tile fits at offset 0 but not one word further.
+  EXPECT_EQ(Runtime.copyToDmaRegion(Tile, 0), 16);
+  EXPECT_EQ(Runtime.status(), AccelStatus::Ok);
+  Soc->dma().inputRegion()[15] = 0xABCD;
+  EXPECT_EQ(Runtime.copyToDmaRegion(Tile, 1), 1);
+  EXPECT_EQ(Runtime.status(), AccelStatus::Fatal);
+  EXPECT_EQ(Runtime.errorMessage(),
+            "dma: copy_to_dma_region of 16 word(s) at offset 1 exceeds the "
+            "input staging region (16 words)");
+  EXPECT_EQ(Soc->dma().inputRegion()[15], 0xABCDu);
+
+  for (int64_t Offset : {int64_t(16), int64_t(-1)}) {
+    auto Fresh = makeBoard();
+    DmaRuntime Rt(*Fresh);
+    Rt.dmaInit(Tiny);
+    EXPECT_EQ(Rt.copyLiteralToDmaRegion(7, Offset), Offset);
+    EXPECT_NE(Rt.errorMessage().find(
+                  "copy_literal_to_dma_region of 1 word(s) at offset " +
+                  std::to_string(Offset) +
+                  " exceeds the input staging region (16 words)"),
+              std::string::npos)
+        << Rt.errorMessage();
+  }
+
+  auto Fresh = makeBoard();
+  DmaRuntime Rt(*Fresh);
+  Rt.dmaInit(Tiny);
+  MemRefDesc Dest = exec::cloneMemRef(Tile);
+  Rt.copyFromDmaRegion(Dest, 0, /*Accumulate=*/false);
+  EXPECT_EQ(Rt.errorMessage(),
+            "dma: copy_from_dma_region of 16 word(s) at offset 0 exceeds the "
+            "output staging region (8 words)");
+  EXPECT_TRUE(exec::memrefEquals(Tile, Dest));
+}
+
 TEST(DmaRuntime, EndToEndSendComputeRecv) {
   // Drive one 8x8x8 tile through the real accelerator via the runtime.
   auto Soc = makeBoard();
