@@ -15,56 +15,19 @@ using Inst = PlanView::Inst;
 using Op = PlanView::Op;
 using BinKind = PlanView::BinKind;
 
-const char *PlanView::opName(Op Code) {
-  switch (Code) {
-  case Op::ConstInt:
-    return "const";
-  case Op::ConstFloat:
-    return "constf";
-  case Op::Binary:
-    return "binary";
-  case Op::IndexCast:
-    return "index_cast";
-  case Op::LoopBegin:
-    return "loop";
-  case Op::LoopEnd:
-    return "end";
-  case Op::Alloc:
-    return "alloc";
-  case Op::Dealloc:
-    return "dealloc";
-  case Op::Load:
-    return "load";
-  case Op::Store:
-    return "store";
-  case Op::Copy:
-    return "copy";
-  case Op::SubView:
-    return "subview";
-  case Op::Generic:
-    return "generic";
-  case Op::CallDmaInit:
-    return "dma_init";
-  case Op::CallCopyToDma:
-    return "copy_to_dma";
-  case Op::CallCopyLiteralToDma:
-    return "copy_literal_to_dma";
-  case Op::CallStartSend:
-    return "send";
-  case Op::CallWaitSend:
-    return "wait_send";
-  case Op::CallStartRecv:
-    return "recv";
-  case Op::CallWaitRecv:
-    return "wait_recv";
-  case Op::CallCopyFromDma:
-    return "copy_from_dma";
-  case Op::CallSendFused:
-    return "send_fused";
-  case Op::CallRecvFused:
-    return "recv_fused";
+bool WordRange::coveredBy(const std::vector<WordRange> &Parts) const {
+  int64_t Pos = Begin;
+  bool Progress = true;
+  while (Pos < End && Progress) {
+    Progress = false;
+    for (const WordRange &R : Parts) {
+      if (R.Begin <= Pos && Pos < R.End) {
+        Pos = R.End;
+        Progress = true;
+      }
+    }
   }
-  return "<invalid>";
+  return Pos >= End;
 }
 
 bool analysis::evalConstDst(const Inst &I, const SlotFacts &Facts,
@@ -108,16 +71,14 @@ bool analysis::evalConstDst(const Inst &I, const SlotFacts &Facts,
     return true;
   }
   case Op::CallCopyLiteralToDma:
-    // Result is the end offset: offset + one staged word.
-    if (!Facts.isConst(I.B))
+  case Op::CallCopyToDma: {
+    // The result is the end offset of the staged range.
+    WordRange R;
+    if (!inputWriteRange(I, Facts, R))
       return false;
-    Out = Facts.Value[I.B] + 1;
+    Out = R.End;
     return true;
-  case Op::CallCopyToDma:
-    if (!Facts.isConst(I.B) || I.A < 0 || !Facts.SizeKnown[I.A])
-      return false;
-    Out = Facts.Value[I.B] + Facts.Count[I.A];
-    return true;
+  }
   default:
     return false;
   }
@@ -146,7 +107,7 @@ bool analysis::inputWriteRange(const Inst &I, const SlotFacts &Facts,
     return true;
   }
   if (I.Code == Op::CallCopyToDma) {
-    if (!Facts.isConst(I.B) || I.A < 0 || !Facts.SizeKnown[I.A])
+    if (!Facts.isConst(I.B) || !Facts.isSized(I.A))
       return false;
     R = {Facts.Value[I.B], Facts.Value[I.B] + Facts.Count[I.A]};
     return true;
@@ -168,17 +129,6 @@ int64_t analysis::inputRegionWords(const PlanView &Plan) {
   int64_t Words = -1;
   for (const accel::DmaInitConfig &C : Plan.dmaConfigs()) {
     int64_t W = C.InputBufferSize / 4;
-    Words = Words < 0 ? W : std::min(Words, W);
-  }
-  return std::max<int64_t>(Words, 0);
-}
-
-int64_t analysis::outputRegionWords(const PlanView &Plan) {
-  if (Plan.dmaConfigs().empty())
-    return 0;
-  int64_t Words = -1;
-  for (const accel::DmaInitConfig &C : Plan.dmaConfigs()) {
-    int64_t W = C.OutputBufferSize / 4;
     Words = Words < 0 ? W : std::min(Words, W);
   }
   return std::max<int64_t>(Words, 0);

@@ -39,6 +39,8 @@ struct WordRange {
     return Begin <= O.Begin && O.End <= End;
   }
   int64_t size() const { return End - Begin; }
+  /// True when the union of \p Parts covers this range.
+  bool coveredBy(const std::vector<WordRange> &Parts) const;
 };
 
 /// Per-slot facts: constant values (ints only) and static memref element
@@ -60,7 +62,16 @@ struct SlotFacts {
     Count.assign(NumSlots, 0);
     NumWriters.assign(NumSlots, 0);
   }
-  bool isConst(int32_t Slot) const { return Slot >= 0 && Known[Slot]; }
+  /// Both queries are false for a slot outside the plan (a corrupted
+  /// operand the verifier has already reported).
+  bool isConst(int32_t Slot) const {
+    return Slot >= 0 && static_cast<size_t>(Slot) < Known.size() &&
+           Known[Slot];
+  }
+  bool isSized(int32_t Slot) const {
+    return Slot >= 0 && static_cast<size_t>(Slot) < SizeKnown.size() &&
+           SizeKnown[Slot];
+  }
 };
 
 /// Evaluates \p I's result under \p Facts; true when it is a compile-time
@@ -89,9 +100,6 @@ bool sendRange(const PlanView::Inst &I, const SlotFacts &Facts,
 /// Input staging capacity in words: the minimum input buffer across the
 /// plan's dma_init configs (0 when the plan has none).
 int64_t inputRegionWords(const PlanView &Plan);
-
-/// Output staging capacity in words (minimum across configs, 0 if none).
-int64_t outputRegionWords(const PlanView &Plan);
 
 /// Static element count of an Alloc/SubView result, or -1 for any other
 /// instruction.

@@ -22,6 +22,7 @@
 #include "analysis/PlanAnalyses.h"
 #include "analysis/PlanView.h"
 
+#include <array>
 #include <map>
 #include <utility>
 
@@ -41,30 +42,11 @@ namespace {
 
 using Inst = PlanView::Inst;
 using Op = PlanView::Op;
+using SlotUse = PlanView::SlotUse;
 
 /// Hard ceiling on reported errors; a corrupted program should not
 /// produce an avalanche.
 constexpr size_t MaxErrors = 64;
-
-/// The slot an instruction defines, or -1 (mirrors the optimizer's
-/// writeSlot).
-int32_t writeSlotOf(const Inst &I) {
-  switch (I.Code) {
-  case Op::ConstInt:
-  case Op::ConstFloat:
-  case Op::Binary:
-  case Op::IndexCast:
-  case Op::LoopBegin: // induction variable
-  case Op::Alloc:
-  case Op::Load:
-  case Op::SubView:
-  case Op::CallCopyToDma:
-  case Op::CallCopyLiteralToDma:
-    return I.Dst;
-  default:
-    return -1;
-  }
-}
 
 class Verifier {
 public:
@@ -88,7 +70,6 @@ private:
     Kind K = Kind::Unknown;
     int64_t Rank = -1; ///< memref rank when statically known
   };
-  enum class Req { Any, Scalar, MemRef };
 
   struct Snapshot {
     std::vector<AbsSlot> Slots;
@@ -108,7 +89,7 @@ private:
     if (Pc < 0)
       return std::string();
     return "pc " + std::to_string(Pc) + " (" +
-           PlanView::opName(V.program()[static_cast<size_t>(Pc)].Code) +
+           PlanView::info(V.program()[static_cast<size_t>(Pc)].Code).Name +
            "): ";
   }
   void error(int64_t Pc, const std::string &Msg) {
@@ -143,7 +124,7 @@ private:
     return false;
   }
 
-  bool checkRead(int64_t Pc, int32_t Slot, Req Want, const char *What) {
+  bool checkRead(int64_t Pc, int32_t Slot, SlotUse Want, const char *What) {
     if (!inRange(Slot)) {
       error(Pc, std::string("reads ") + What + " from slot %" +
                     std::to_string(Slot) + " outside the plan's " +
@@ -161,17 +142,31 @@ private:
                    std::to_string(Slot) +
                    " whose only definition sits inside a possibly "
                    "zero-trip loop");
-    if (Want == Req::MemRef && S.K == AbsSlot::Kind::Scalar) {
+    if (Want == SlotUse::MemRef && S.K == AbsSlot::Kind::Scalar) {
       error(Pc, std::string("expects a memref as ") + What + " but %" +
                     std::to_string(Slot) + " holds a scalar");
       return false;
     }
-    if (Want == Req::Scalar && S.K == AbsSlot::Kind::MemRef) {
+    if (Want == SlotUse::Scalar && S.K == AbsSlot::Kind::MemRef) {
       error(Pc, std::string("expects a scalar as ") + What + " but %" +
                     std::to_string(Slot) + " holds a memref");
       return false;
     }
     return true;
+  }
+
+  /// Checks the A/B/C reads \p I's opcode row declares, in that order;
+  /// \p Role, when given, replaces the row's role text. Returns which
+  /// reads passed (an undeclared field passes).
+  std::array<bool, 3> checkOperands(int64_t Pc, const Inst &I,
+                                    const char *Role = nullptr) {
+    std::array<bool, 3> Ok = {true, true, true};
+    const PlanView::OpInfo &Info = PlanView::info(I.Code);
+    for (unsigned K = 0; K < 3; ++K)
+      if (Info.Reads[K].Kind != SlotUse::None)
+        Ok[K] = checkRead(Pc, PlanView::operand(I, K), Info.Reads[K].Kind,
+                          Role ? Role : Info.Reads[K].Role);
+    return Ok;
   }
 
   void defineScalar(int32_t Slot, bool IsConst, int64_t Value) {
@@ -199,9 +194,32 @@ private:
     Facts.Known[Slot] = 0;
     Facts.SizeKnown[Slot] = 0;
   }
+  /// Defines \p I's scalar result, constant when evalConstDst folds it.
+  void defineScalarResult(const Inst &I) {
+    int64_t Out = 0;
+    bool IsConst = evalConstDst(I, Facts, Out);
+    defineScalar(I.Dst, IsConst, Out);
+  }
+  /// Defines the result \p I's opcode row declares. A memref result
+  /// (alloc, subview) takes its side-table entry's static shape, which
+  /// checkSideTable has proven present.
+  void defineResult(int64_t Pc, const Inst &I) {
+    SlotUse Kind = PlanView::info(I.Code).Defines;
+    if (Kind == SlotUse::None || !checkWrite(Pc, I.Dst))
+      return;
+    if (Kind == SlotUse::Scalar) {
+      defineScalarResult(I);
+      return;
+    }
+    const std::vector<int64_t> &Shape =
+        I.Code == Op::Alloc ? V.allocs()[I.Aux].Shape
+                            : V.subViews()[I.Aux].StaticSizes;
+    defineMemRef(I.Dst, staticElementCount(V, I),
+                 static_cast<int64_t>(Shape.size()));
+  }
 
   int64_t memrefCount(int32_t Slot) const {
-    return inRange(Slot) && Facts.SizeKnown[Slot] ? Facts.Count[Slot] : -1;
+    return Facts.isSized(Slot) ? Facts.Count[Slot] : -1;
   }
   int64_t memrefRank(int32_t Slot) const {
     return inRange(Slot) ? Slots[Slot].Rank : -1;
@@ -216,6 +234,48 @@ private:
                   ") is outside the plan's pool (" +
                   std::to_string(V.slotPool().size()) + " entries)");
     return false;
+  }
+
+  /// Bounds-checks the side-table entry \p I's Aux selects (alloc,
+  /// subview and generic plans, dma configs); true when it exists or the
+  /// opcode has none.
+  bool checkSideTable(int64_t Pc, const Inst &I) {
+    const char *What;
+    size_t Size;
+    switch (I.Code) {
+    case Op::Alloc:
+      What = "alloc side-table index #";
+      Size = V.allocs().size();
+      break;
+    case Op::SubView:
+      What = "subview side-table index #";
+      Size = V.subViews().size();
+      break;
+    case Op::Generic:
+      What = "generic side-table index #";
+      Size = V.generics().size();
+      break;
+    case Op::CallDmaInit:
+      What = "dma config index #";
+      Size = V.dmaConfigs().size();
+      break;
+    default:
+      return true;
+    }
+    if (I.Aux >= 0 && static_cast<size_t>(I.Aux) < Size)
+      return true;
+    error(Pc, What + std::to_string(I.Aux) + " out of bounds (" +
+                  std::to_string(Size) + " entries)");
+    return false;
+  }
+
+  /// A load/store whose memref has a known rank must index every
+  /// dimension.
+  void checkRank(int64_t Pc, int32_t MemRef, int64_t NumIndices) {
+    int64_t Rank = memrefRank(MemRef);
+    if (Rank >= 0 && Rank != NumIndices)
+      error(Pc, "indexes a rank-" + std::to_string(Rank) + " memref with " +
+                    std::to_string(NumIndices) + " indices");
   }
 
   //===------------------------------------------------------------------===//
@@ -380,14 +440,14 @@ private:
     };
     for (size_t Pc = Begin; Pc < End; ++Pc) {
       const Inst &I = P[Pc];
-      drop(writeSlotOf(I));
+      drop(PlanView::definedSlot(I));
       if (I.Code == Op::Generic && I.Aux >= 0 &&
           static_cast<size_t>(I.Aux) < V.generics().size()) {
         const PlanView::GenericPlan &G = V.generics()[I.Aux];
         for (int32_t S : G.BodyArgSlots)
           drop(S);
         for (const Inst &B : G.Body)
-          drop(writeSlotOf(B));
+          drop(PlanView::definedSlot(B));
       }
     }
   }
@@ -490,9 +550,7 @@ private:
     const std::vector<Inst> &P = V.program();
     const Inst &I = P[PcU];
     int64_t Pc = static_cast<int64_t>(PcU);
-    checkRead(Pc, I.A, Req::Scalar, "the lower bound");
-    checkRead(Pc, I.B, Req::Scalar, "the upper bound");
-    checkRead(Pc, I.C, Req::Scalar, "the step");
+    checkOperands(Pc, I);
     checkWrite(Pc, I.Dst);
 
     if (I.Aux < static_cast<int64_t>(PcU) + 2 ||
@@ -510,7 +568,7 @@ private:
       error(Pc, "jump target @" + std::to_string(I.Aux) +
                     " does not follow a loop end (pc " +
                     std::to_string(EndPc) + " is '" +
-                    PlanView::opName(E.Code) + "')");
+                    PlanView::info(E.Code).Name + "')");
       Aborted = true;
       return End;
     }
@@ -590,170 +648,72 @@ private:
 
 void Verifier::interpret(size_t PcU, const Inst &I) {
   int64_t Pc = static_cast<int64_t>(PcU);
+  if (!checkSideTable(Pc, I))
+    return;
+  // The index pool load/store/subview read their indices from.
+  int32_t PoolOffset = I.Aux;
+  unsigned PoolCount = I.Sub;
+  const char *PoolRole = nullptr;
   switch (I.Code) {
-  case Op::ConstInt:
-    if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, true, I.Imm);
-    return;
-  case Op::ConstFloat:
-    if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, false, 0);
-    return;
-  case Op::Binary: {
-    checkRead(Pc, I.A, Req::Scalar, "the left operand");
-    checkRead(Pc, I.B, Req::Scalar, "the right operand");
-    if (!checkWrite(Pc, I.Dst))
-      return;
-    int64_t Out;
-    if (evalConstDst(I, Facts, Out))
-      defineScalar(I.Dst, true, Out);
-    else
-      defineScalar(I.Dst, false, 0);
-    return;
+  case Op::Load:
+    PoolRole = "a load index";
+    break;
+  case Op::Store:
+    PoolRole = "a store index";
+    break;
+  case Op::SubView:
+    PoolOffset = V.subViews()[I.Aux].PoolOffset;
+    PoolCount = V.subViews()[I.Aux].NumOffsets;
+    PoolRole = "a subview offset";
+    break;
+  default:
+    break;
   }
-  case Op::IndexCast: {
-    checkRead(Pc, I.A, Req::Scalar, "its operand");
-    if (!checkWrite(Pc, I.Dst))
-      return;
-    int64_t Out;
-    if (evalConstDst(I, Facts, Out))
-      defineScalar(I.Dst, true, Out);
-    else
-      defineScalar(I.Dst, false, 0);
+  if (PoolRole && !checkPool(Pc, PoolOffset, PoolCount))
     return;
-  }
-  case Op::Alloc: {
-    if (I.Aux < 0 || static_cast<size_t>(I.Aux) >= V.allocs().size()) {
-      error(Pc, "alloc side-table index #" + std::to_string(I.Aux) +
-                    " out of bounds (" + std::to_string(V.allocs().size()) +
-                    " entries)");
-      return;
-    }
-    if (checkWrite(Pc, I.Dst))
-      defineMemRef(I.Dst, staticElementCount(V, I),
-                   static_cast<int64_t>(V.allocs()[I.Aux].Shape.size()));
-    return;
-  }
-  case Op::Dealloc:
-    return;
-  case Op::Load: {
-    if (!checkPool(Pc, I.Aux, I.Sub))
-      return;
-    if (checkRead(Pc, I.A, Req::MemRef, "the loaded memref")) {
-      int64_t Rank = memrefRank(I.A);
-      if (Rank >= 0 && Rank != I.Sub)
-        error(Pc, "indexes a rank-" + std::to_string(Rank) +
-                      " memref with " + std::to_string(I.Sub) + " indices");
-    }
-    for (unsigned K = 0; K < I.Sub; ++K)
-      checkRead(Pc, V.slotPool()[static_cast<size_t>(I.Aux) + K],
-                Req::Scalar, "a load index");
-    if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, false, 0);
-    return;
-  }
-  case Op::Store: {
-    if (!checkPool(Pc, I.Aux, I.Sub))
-      return;
-    checkRead(Pc, I.A, Req::Scalar, "the stored value");
-    if (checkRead(Pc, I.B, Req::MemRef, "the stored-to memref")) {
-      int64_t Rank = memrefRank(I.B);
-      if (Rank >= 0 && Rank != I.Sub)
-        error(Pc, "indexes a rank-" + std::to_string(Rank) +
-                      " memref with " + std::to_string(I.Sub) + " indices");
-    }
-    for (unsigned K = 0; K < I.Sub; ++K)
-      checkRead(Pc, V.slotPool()[static_cast<size_t>(I.Aux) + K],
-                Req::Scalar, "a store index");
-    return;
-  }
+  std::array<bool, 3> Ok = checkOperands(Pc, I);
+
+  switch (I.Code) {
+  case Op::Load:
+    if (Ok[0])
+      checkRank(Pc, I.A, I.Sub);
+    break;
+  case Op::Store:
+    if (Ok[1])
+      checkRank(Pc, I.B, I.Sub);
+    break;
   case Op::Copy: {
-    bool SrcOk = checkRead(Pc, I.A, Req::MemRef, "the copy source");
-    bool DstOk = checkRead(Pc, I.B, Req::MemRef, "the copy destination");
-    if (SrcOk && DstOk) {
-      int64_t CntA = memrefCount(I.A), CntB = memrefCount(I.B);
-      if (CntA >= 0 && CntB >= 0 && CntA != CntB)
-        error(Pc, "copies between memrefs of different element counts (" +
-                      std::to_string(CntA) + " vs " + std::to_string(CntB) +
-                      ")");
-    }
-    return;
-  }
-  case Op::SubView: {
-    if (I.Aux < 0 || static_cast<size_t>(I.Aux) >= V.subViews().size()) {
-      error(Pc, "subview side-table index #" + std::to_string(I.Aux) +
-                    " out of bounds (" +
-                    std::to_string(V.subViews().size()) + " entries)");
-      return;
-    }
-    const PlanView::SubViewPlan &Info = V.subViews()[I.Aux];
-    if (!checkPool(Pc, Info.PoolOffset, Info.NumOffsets))
-      return;
-    checkRead(Pc, I.A, Req::MemRef, "the subview source");
-    for (unsigned K = 0; K < Info.NumOffsets; ++K)
-      checkRead(Pc,
-                V.slotPool()[static_cast<size_t>(Info.PoolOffset) + K],
-                Req::Scalar, "a subview offset");
-    if (checkWrite(Pc, I.Dst))
-      defineMemRef(I.Dst, staticElementCount(V, I),
-                   static_cast<int64_t>(Info.StaticSizes.size()));
-    return;
+    int64_t CntA = memrefCount(I.A), CntB = memrefCount(I.B);
+    if (Ok[0] && Ok[1] && CntA >= 0 && CntB >= 0 && CntA != CntB)
+      error(Pc, "copies between memrefs of different element counts (" +
+                    std::to_string(CntA) + " vs " + std::to_string(CntB) +
+                    ")");
+    break;
   }
   case Op::Generic: {
-    if (I.Aux < 0 || static_cast<size_t>(I.Aux) >= V.generics().size()) {
-      error(Pc, "generic side-table index #" + std::to_string(I.Aux) +
-                    " out of bounds (" +
-                    std::to_string(V.generics().size()) + " entries)");
-      return;
-    }
     const PlanView::GenericPlan &G = V.generics()[I.Aux];
     for (const auto &P : G.Operands)
-      checkRead(Pc, P.Slot, Req::MemRef, "a generic operand");
+      checkRead(Pc, P.Slot, SlotUse::MemRef, "a generic operand");
     for (int32_t S : G.BodyArgSlots)
       if (checkWrite(Pc, S))
         defineScalar(S, false, 0);
     for (const Inst &B : G.Body) {
-      switch (B.Code) {
-      case Op::Binary:
-        checkRead(Pc, B.A, Req::Scalar, "a generic body operand");
-        checkRead(Pc, B.B, Req::Scalar, "a generic body operand");
-        break;
-      case Op::IndexCast:
-        checkRead(Pc, B.A, Req::Scalar, "a generic body operand");
-        break;
-      default:
-        break;
-      }
-      int32_t W = writeSlotOf(B);
-      if (W >= 0 && checkWrite(Pc, W)) {
-        int64_t Out;
-        if (evalConstDst(B, Facts, Out))
-          defineScalar(W, true, Out);
-        else
-          defineScalar(W, false, 0);
-      }
+      checkOperands(Pc, B, "a generic body operand");
+      if (PlanView::definedSlot(B) >= 0 && checkWrite(Pc, B.Dst))
+        defineScalarResult(B);
     }
     for (int32_t Y : G.YieldSlots)
-      checkRead(Pc, Y, Req::Scalar, "a generic yield value");
-    return;
+      checkRead(Pc, Y, SlotUse::Scalar, "a generic yield value");
+    break;
   }
 
-  case Op::CallDmaInit: {
-    if (I.Aux < 0 || static_cast<size_t>(I.Aux) >= V.dmaConfigs().size()) {
-      error(Pc, "dma config index #" + std::to_string(I.Aux) +
-                    " out of bounds (" +
-                    std::to_string(V.dmaConfigs().size()) + " entries)");
-      return;
-    }
+  case Op::CallDmaInit:
     CurDma = I.Aux;
     Region.clear();
     RegionUnknown = false;
-    return;
-  }
+    break;
 
   case Op::CallCopyToDma: {
-    checkRead(Pc, I.A, Req::MemRef, "the staged memref");
-    checkRead(Pc, I.B, Req::Scalar, "the staging offset");
     int64_t Cnt = memrefCount(I.A);
     bool OffKnown = Facts.isConst(I.B);
     int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
@@ -766,18 +726,9 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
       else
         RegionUnknown = true;
     }
-    if (!checkWrite(Pc, I.Dst))
-      return;
-    int64_t Out;
-    if (evalConstDst(I, Facts, Out))
-      defineScalar(I.Dst, true, Out);
-    else
-      defineScalar(I.Dst, false, 0);
-    return;
+    break;
   }
   case Op::CallCopyLiteralToDma: {
-    checkRead(Pc, I.A, Req::Scalar, "the staged literal");
-    checkRead(Pc, I.B, Req::Scalar, "the staging offset");
     bool OffKnown = Facts.isConst(I.B);
     int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
     checkRegionRange(Pc, /*Input=*/true, OffKnown, Off, 1,
@@ -790,20 +741,11 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
       else
         RegionUnknown = true;
     }
-    if (!checkWrite(Pc, I.Dst))
-      return;
-    int64_t Out;
-    if (evalConstDst(I, Facts, Out))
-      defineScalar(I.Dst, true, Out);
-    else
-      defineScalar(I.Dst, false, 0);
-    return;
+    break;
   }
 
   case Op::CallStartSend:
   case Op::CallSendFused: {
-    checkRead(Pc, I.A, Req::Scalar, "the send end offset");
-    checkRead(Pc, I.B, Req::Scalar, "the send begin offset");
     WordRange Rg;
     bool RangeKnown = sendRange(I, Facts, Rg);
     if (RangeKnown && Rg.End < Rg.Begin)
@@ -826,17 +768,15 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
                "tracking stops");
       Model.invalidate();
     }
-    return;
+    break;
   }
   case Op::CallWaitSend:
     if (PendingSend < 0)
       error(Pc, "waits for a send that was never started");
     PendingSend = -1;
-    return;
+    break;
   case Op::CallStartRecv:
   case Op::CallRecvFused: {
-    checkRead(Pc, I.A, Req::Scalar, "the receive length");
-    checkRead(Pc, I.B, Req::Scalar, "the receive offset");
     bool LenKnown = Facts.isConst(I.A);
     int64_t Len = LenKnown ? Facts.Value[I.A] : -1;
     bool OffKnown = Facts.isConst(I.B);
@@ -854,27 +794,29 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     if (I.Code == Op::CallStartRecv)
       PendingRecv = Pc;
     modelRecv(Pc, LenKnown ? Len : -1);
-    return;
+    break;
   }
   case Op::CallWaitRecv:
     if (PendingRecv < 0)
       error(Pc, "waits for a receive that was never started");
     PendingRecv = -1;
-    return;
+    break;
   case Op::CallCopyFromDma: {
-    checkRead(Pc, I.A, Req::MemRef, "the read-back destination");
-    checkRead(Pc, I.B, Req::Scalar, "the region offset");
     bool OffKnown = Facts.isConst(I.B);
     int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
     checkRegionRange(Pc, /*Input=*/false, OffKnown, Off, memrefCount(I.A),
                      "the staged read-back");
-    return;
+    break;
+  }
+  default:
+    break; // no check beyond the row's operands and result
   }
 
-  case Op::LoopBegin:
-  case Op::LoopEnd:
-    return; // handled structurally in walkSpan
-  }
+  if (PoolRole)
+    for (unsigned K = 0; K < PoolCount; ++K)
+      checkRead(Pc, V.slotPool()[static_cast<size_t>(PoolOffset) + K],
+                SlotUse::Scalar, PoolRole);
+  defineResult(Pc, I);
 }
 
 VerifyResult Verifier::run() {

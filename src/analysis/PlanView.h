@@ -9,11 +9,14 @@
 /// plan representation. ExecPlan keeps its instruction encoding private
 /// (only the builder, the optimizer and the executors may touch it);
 /// PlanView is the one friend the analyses go through. It re-exports the
-/// internal types (Inst, Op, the side-table plans) and exposes const
+/// internal types (Inst, Op, the side-table plans) and the per-opcode
+/// table (ExecPlan::OpTable: diagnostic name, operand slots and kinds,
+/// result, cost-model charge, DMA-region effect) and exposes const
 /// accessors over the program, so PlanVerifier / ProtocolChecker stay
 /// strictly read-only, plus an explicit mutation escape hatch that the
 /// mutation-based negative tests (tests/PlanVerifyTest.cpp) use to
-/// corrupt known-good plans.
+/// corrupt known-good plans. The plan optimizer reads the same table
+/// through this class.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +37,9 @@ public:
   using AllocPlan = exec::ExecPlan::AllocPlan;
   using SubViewPlan = exec::ExecPlan::SubViewPlan;
   using GenericPlan = exec::ExecPlan::GenericPlan;
+  using OpInfo = exec::ExecPlan::OpInfo;
+  using SlotUse = exec::ExecPlan::SlotUse;
+  using RegionEffect = exec::ExecPlan::RegionEffect;
   static constexpr uint8_t BinFloatResult = exec::ExecPlan::BinFloatResult;
 
   explicit PlanView(const exec::ExecPlan &Plan) : Plan(&Plan) {}
@@ -50,9 +56,16 @@ public:
   unsigned numArgs() const { return Plan->NumArgs; }
   const std::string &funcName() const { return Plan->FuncName; }
 
-  /// Stable per-instruction mnemonic used in diagnostics ("loop",
-  /// "copy_to_dma", ...), matching ExecPlan::print's spelling.
-  static const char *opName(Op Code);
+  /// \p Code's opcode-table row.
+  static const OpInfo &info(Op Code) { return exec::ExecPlan::info(Code); }
+  /// Slot field \p K (0: A, 1: B, 2: C) of \p I.
+  template <typename InstT> static auto &operand(InstT &I, unsigned K) {
+    return K == 0 ? I.A : K == 1 ? I.B : I.C;
+  }
+  /// The slot \p I defines, or -1.
+  static int32_t definedSlot(const Inst &I) {
+    return info(I.Code).Defines != SlotUse::None ? I.Dst : -1;
+  }
 
   /// Mutation access for the negative tests: corrupting a known-good plan
   /// and asserting the verifier's diagnostic is the contract that keeps

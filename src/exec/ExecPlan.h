@@ -45,6 +45,7 @@
 #include "support/LogicalResult.h"
 
 #include <iosfwd>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,7 +146,133 @@ private:
     /// dispatch, identical perf charges in identical order).
     CallSendFused,
     CallRecvFused,
+    LastOp = CallRecvFused,
   };
+
+  /// How an instruction uses one of its slot fields.
+  enum class SlotUse : uint8_t { None, Scalar, MemRef };
+
+  /// What an instruction does to the DMA staging regions, plus the host
+  /// memory writes the region analyses must order against.
+  enum class RegionEffect : uint8_t {
+    None,      ///< Neither (arith, loops, alloc, load, subview).
+    HostWrite, ///< Writes host memory (store, copy, generic).
+    Stage,     ///< Writes input-region words.
+    Send,      ///< Streams an input-region range to the accelerator.
+    Recv,      ///< Receives accelerator words into the output region.
+    Wait,      ///< Completes an outstanding send or receive.
+    ReadBack,  ///< Copies output-region words into host memory.
+    Init,      ///< dma_init: reconfigures and clears both regions.
+  };
+
+  /// One A/B/C slot field an opcode reads: the kind it must hold and the
+  /// role diagnostics give it. The strings are stored inline so the table
+  /// needs no load-time relocations.
+  struct OperandUse {
+    SlotUse Kind;
+    char Role[26];
+  };
+
+  /// The per-opcode facts the verifier and the optimizer read instead of
+  /// re-deriving them. Index pools, side tables and generic payloads stay
+  /// per-opcode code.
+  struct OpInfo {
+    Op Code;
+    char Name[20];       ///< Diagnostic name ("send_fused", ...); not
+                         ///< the mnemonic ExecPlan::print spells.
+    OperandUse Reads[3]; ///< The A, B and C fields, in that order.
+    SlotUse Defines;     ///< What Dst receives (None: no result).
+    bool Charged;        ///< Charges the cost model when it executes.
+    RegionEffect Effect;
+  };
+
+  static constexpr OpInfo OpTable[] = {
+      {Op::ConstInt, "const", {}, SlotUse::Scalar, false, RegionEffect::None},
+      {Op::ConstFloat, "constf", {}, SlotUse::Scalar, false,
+       RegionEffect::None},
+      {Op::Binary, "binary",
+       {{SlotUse::Scalar, "the left operand"},
+        {SlotUse::Scalar, "the right operand"}},
+       SlotUse::Scalar, true, RegionEffect::None},
+      {Op::IndexCast, "index_cast", {{SlotUse::Scalar, "its operand"}},
+       SlotUse::Scalar, false, RegionEffect::None},
+      {Op::LoopBegin, "loop",
+       {{SlotUse::Scalar, "the lower bound"},
+        {SlotUse::Scalar, "the upper bound"},
+        {SlotUse::Scalar, "the step"}},
+       SlotUse::Scalar, true, RegionEffect::None}, // Dst: induction variable
+      // The back edge advances the induction variable its LoopBegin
+      // defines; that is not a second definition.
+      {Op::LoopEnd, "end",
+       {{SlotUse::None, ""},
+        {SlotUse::Scalar, "the upper bound"},
+        {SlotUse::Scalar, "the step"}},
+       SlotUse::None, true, RegionEffect::None},
+      {Op::Alloc, "alloc", {}, SlotUse::MemRef, true, RegionEffect::None},
+      {Op::Dealloc, "dealloc", {}, SlotUse::None, true, RegionEffect::None},
+      {Op::Load, "load", {{SlotUse::MemRef, "the loaded memref"}},
+       SlotUse::Scalar, true, RegionEffect::None},
+      {Op::Store, "store",
+       {{SlotUse::Scalar, "the stored value"},
+        {SlotUse::MemRef, "the stored-to memref"}},
+       SlotUse::None, true, RegionEffect::HostWrite},
+      {Op::Copy, "copy",
+       {{SlotUse::MemRef, "the copy source"},
+        {SlotUse::MemRef, "the copy destination"}},
+       SlotUse::None, true, RegionEffect::HostWrite},
+      {Op::SubView, "subview", {{SlotUse::MemRef, "the subview source"}},
+       SlotUse::MemRef, true, RegionEffect::None},
+      {Op::Generic, "generic", {}, SlotUse::None, true,
+       RegionEffect::HostWrite},
+      {Op::CallDmaInit, "dma_init", {}, SlotUse::None, true,
+       RegionEffect::Init},
+      {Op::CallCopyToDma, "copy_to_dma",
+       {{SlotUse::MemRef, "the staged memref"},
+        {SlotUse::Scalar, "the staging offset"}},
+       SlotUse::Scalar, true, RegionEffect::Stage}, // Dst: end offset
+      {Op::CallCopyLiteralToDma, "copy_literal_to_dma",
+       {{SlotUse::Scalar, "the staged literal"},
+        {SlotUse::Scalar, "the staging offset"}},
+       SlotUse::Scalar, true, RegionEffect::Stage},
+      {Op::CallStartSend, "send",
+       {{SlotUse::Scalar, "the send end offset"},
+        {SlotUse::Scalar, "the send begin offset"}},
+       SlotUse::None, true, RegionEffect::Send},
+      {Op::CallWaitSend, "wait_send", {}, SlotUse::None, true,
+       RegionEffect::Wait},
+      {Op::CallStartRecv, "recv",
+       {{SlotUse::Scalar, "the receive length"},
+        {SlotUse::Scalar, "the receive offset"}},
+       SlotUse::None, true, RegionEffect::Recv},
+      {Op::CallWaitRecv, "wait_recv", {}, SlotUse::None, true,
+       RegionEffect::Wait},
+      {Op::CallCopyFromDma, "copy_from_dma",
+       {{SlotUse::MemRef, "the read-back destination"},
+        {SlotUse::Scalar, "the region offset"}},
+       SlotUse::None, true, RegionEffect::ReadBack},
+      {Op::CallSendFused, "send_fused",
+       {{SlotUse::Scalar, "the send end offset"},
+        {SlotUse::Scalar, "the send begin offset"}},
+       SlotUse::None, true, RegionEffect::Send},
+      {Op::CallRecvFused, "recv_fused",
+       {{SlotUse::Scalar, "the receive length"},
+        {SlotUse::Scalar, "the receive offset"}},
+       SlotUse::None, true, RegionEffect::Recv},
+  };
+  static_assert(std::size(OpTable) == static_cast<size_t>(Op::LastOp) + 1,
+                "one OpTable row per opcode");
+  static_assert(
+      [] {
+        for (size_t K = 0; K < std::size(OpTable); ++K)
+          if (static_cast<size_t>(OpTable[K].Code) != K)
+            return false;
+        return true;
+      }(),
+      "OpTable rows follow the Op enum order");
+
+  static constexpr const OpInfo &info(Op Code) {
+    return OpTable[static_cast<size_t>(Code)];
+  }
 
   /// Binary-op kinds packed into Inst::Sub (bit 3 = float result type).
   enum class BinKind : uint8_t { Add = 0, Mul, Sub, Div, Max };

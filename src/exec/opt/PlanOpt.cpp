@@ -106,6 +106,8 @@ public:
 private:
   using Inst = ExecPlan::Inst;
   using POp = ExecPlan::Op;
+  using View = analysis::PlanView;
+  using Effect = View::RegionEffect;
 
   /// Structured program: leaves carry one instruction, loops carry the
   /// LoopBegin instruction plus their body (the LoopEnd is reconstructed
@@ -190,57 +192,20 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// Invokes \p Fn on a mutable reference to every slot the instruction
-  /// reads (including pooled index/offset lists). Loop nodes report the
+  /// reads: the A/B/C fields its opcode row declares, then pooled
+  /// index/offset lists and generic payloads. Loop nodes report the
   /// bound/step slots of their LoopBegin.
   template <typename Fn> void forEachRead(Inst &I, Fn &&F) {
+    for (unsigned K = 0; K < 3; ++K)
+      if (View::info(I.Code).Reads[K].Kind != View::SlotUse::None)
+        F(View::operand(I, K));
     switch (I.Code) {
-    case POp::ConstInt:
-    case POp::ConstFloat:
-    case POp::Alloc:
-    case POp::Dealloc:
-    case POp::CallWaitSend:
-    case POp::CallWaitRecv:
-    case POp::CallDmaInit:
-      return;
-    case POp::Binary:
-    case POp::Copy:
-    case POp::CallCopyToDma:
-    case POp::CallCopyLiteralToDma:
-    case POp::CallStartSend:
-    case POp::CallStartRecv:
-    case POp::CallCopyFromDma:
-    case POp::CallSendFused:
-    case POp::CallRecvFused:
-      F(I.A);
-      F(I.B);
-      return;
-    case POp::IndexCast:
-      F(I.A);
-      return;
-    case POp::LoopBegin:
-      F(I.A);
-      F(I.B);
-      F(I.C);
-      return;
-    case POp::LoopEnd:
-      F(I.B);
-      F(I.C);
-      return;
-    case POp::Load: {
-      F(I.A);
+    case POp::Load:
+    case POp::Store:
       for (unsigned K = 0; K < I.Sub; ++K)
         F(Plan.SlotPool[static_cast<size_t>(I.Aux) + K]);
       return;
-    }
-    case POp::Store: {
-      F(I.A);
-      F(I.B);
-      for (unsigned K = 0; K < I.Sub; ++K)
-        F(Plan.SlotPool[static_cast<size_t>(I.Aux) + K]);
-      return;
-    }
     case POp::SubView: {
-      F(I.A);
       ExecPlan::SubViewPlan &Info = Plan.SubViews[I.Aux];
       for (unsigned K = 0; K < Info.NumOffsets; ++K)
         F(Plan.SlotPool[static_cast<size_t>(Info.PoolOffset) + K]);
@@ -256,32 +221,9 @@ private:
         F(Y);
       return;
     }
-    }
-  }
-
-  /// The slot the instruction defines, or -1.
-  static int32_t writeSlot(const Inst &I) {
-    switch (I.Code) {
-    case POp::ConstInt:
-    case POp::ConstFloat:
-    case POp::Binary:
-    case POp::IndexCast:
-    case POp::LoopBegin: // induction variable
-    case POp::Alloc:
-    case POp::Load:
-    case POp::SubView:
-    case POp::CallCopyToDma:
-    case POp::CallCopyLiteralToDma:
-      return I.Dst;
     default:
-      return -1;
+      return;
     }
-  }
-
-  /// True for instructions that charge no perf event at execution time.
-  static bool isUncharged(POp Code) {
-    return Code == POp::ConstInt || Code == POp::ConstFloat ||
-           Code == POp::IndexCast;
   }
 
   //===--------------------------------------------------------------------===//
@@ -289,15 +231,9 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// Per-slot constant/size facts — the shared analysis type consumed by
-  /// the verifier's proofs and the query functions below.
+  /// the verifier's proofs and the shared queries (evalConstDst,
+  /// constTripCount, inputWriteRange, sendRange).
   using Analysis = analysis::SlotFacts;
-
-  /// Evaluates the instruction's result given current constant facts;
-  /// mirrors runSpan's arithmetic exactly (Binary computes in double and
-  /// truncates back, like the walker). Delegates to the shared analysis.
-  bool evalConst(const Inst &I, const Analysis &A, int64_t &Out) const {
-    return analysis::evalConstDst(I, A, Out);
-  }
 
   Analysis analyze(std::vector<Node> &Tree) {
     unsigned N = Plan.NumSlots;
@@ -329,22 +265,21 @@ private:
         for (int32_t S : G.BodyArgSlots)
           note(S, nullptr);
         for (const Inst &B : G.Body)
-          note(writeSlot(B), &B);
+          note(View::definedSlot(B), &B);
         return;
       }
-      note(writeSlot(I), &I);
+      note(View::definedSlot(I), &I);
     });
     // Arguments are memref parameters: unknown values.
     for (unsigned Idx = 0; Idx < Plan.NumArgs && Idx < N; ++Idx)
       Unknown[Idx] = 1;
 
     // Static element counts (subviews and allocs have static shapes).
-    analysis::PlanView View(Plan);
     walkInsts(Tree, [&](const Node &Nd) {
       if (Nd.IsLoop)
         return;
       const Inst &I = Nd.I;
-      int64_t Count = analysis::staticElementCount(View, I);
+      int64_t Count = analysis::staticElementCount(View(Plan), I);
       if (Count < 0)
         return;
       int32_t Slot = I.Dst;
@@ -372,7 +307,7 @@ private:
         bool Ok = true, First = true;
         for (const Inst *Def : Writers[Slot]) {
           int64_t V = 0;
-          if (!evalConst(*Def, A, V)) {
+          if (!analysis::evalConstDst(*Def, A, V)) {
             Ok = false;
             break;
           }
@@ -410,28 +345,7 @@ private:
     }
   }
 
-  /// Constant trip count of a loop node, or -1 when unknown.
-  int64_t tripCount(const Node &Loop, const Analysis &A) const {
-    return analysis::constTripCount(Loop.I, A);
-  }
-
-  /// Constant staged-input-region range written by the instruction, if
-  /// determinable.
-  bool inputWriteRange(const Inst &I, const Analysis &A, Range &R) const {
-    return analysis::inputWriteRange(I, A, R);
-  }
-
-  static bool isInputWrite(POp Code) {
-    return Code == POp::CallCopyToDma || Code == POp::CallCopyLiteralToDma;
-  }
-  static bool isFusedSend(POp Code) { return Code == POp::CallSendFused; }
-  static bool isAnySend(POp Code) {
-    return Code == POp::CallStartSend || Code == POp::CallSendFused;
-  }
-
-  bool sendRange(const Inst &I, const Analysis &A, Range &R) const {
-    return analysis::sendRange(I, A, R);
-  }
+  static Effect effect(const Inst &I) { return View::info(I.Code).Effect; }
 
   //===--------------------------------------------------------------------===//
   // fold
@@ -552,7 +466,7 @@ private:
                 // A constant zero-trip loop never executes its body and
                 // charges nothing at the LoopBegin: removal is perfectly
                 // counter-identical.
-                if (tripCount(Nd, A) == 0) {
+                if (analysis::constTripCount(Nd.I, A) == 0) {
                   unsigned Removed = 0;
                   walkInsts(Nd.Body, [&](const Node &) { ++Removed; });
                   Stats.RemovedUnchargedInsts += Removed + 1;
@@ -566,7 +480,7 @@ private:
               const Inst &I = Nd.I;
               // Dead uncharged pure instructions: removing them changes
               // no executed charge and no observable value.
-              if (isUncharged(I.Code) && I.Dst >= 0 &&
+              if (!View::info(I.Code).Charged && I.Dst >= 0 &&
                   Reads[I.Dst] == 0) {
                 ++Stats.RemovedUnchargedInsts;
                 Changed = AnyChange = true;
@@ -577,9 +491,10 @@ private:
               // dma_init) before any send can stream them is
               // unobservable apart from its charges.
               Range W;
-              if (isInputWrite(I.Code) &&
+              if (effect(I) == Effect::Stage &&
                   (I.Dst < 0 || Reads[I.Dst] == 0) &&
-                  inputWriteRange(I, A, W) && deadAfter(Body, Idx, W, A)) {
+                  analysis::inputWriteRange(I, A, W) &&
+                  deadAfter(Body, Idx, W, A)) {
                 ++Stats.RemovedChargedInsts;
                 Changed = AnyChange = true;
                 continue;
@@ -603,11 +518,11 @@ private:
       if (Nd.IsLoop)
         return false;
       const Inst &I = Nd.I;
-      if (I.Code == POp::CallDmaInit)
+      if (effect(I) == Effect::Init)
         return true; // region re-initialized wholesale
-      if (isInputWrite(I.Code)) {
+      if (effect(I) == Effect::Stage) {
         Range R;
-        if (!inputWriteRange(I, A, R))
+        if (!analysis::inputWriteRange(I, A, R))
           return false;
         if (R.covers(W))
           return true;
@@ -615,9 +530,9 @@ private:
           return false; // partially clobbered: keep it simple, keep it
         continue;
       }
-      if (isAnySend(I.Code)) {
+      if (effect(I) == Effect::Send) {
         Range R;
-        if (!sendRange(I, A, R) || R.overlaps(W))
+        if (!analysis::sendRange(I, A, R) || R.overlaps(W))
           return false;
         continue;
       }
@@ -634,7 +549,7 @@ private:
     std::set<int32_t> Written;
     std::vector<Range> InputWrites; // constant-range staging writes
     bool RegionUnknown = false;     // dma_init / unknown range
-    bool HostMemWrite = false;      // store/copy/generic/copy_from/recv
+    bool HostMemWrite = false;      // store/copy/generic/copy_from_dma
   };
 
   void collectLoopFacts(std::vector<Node> &Body, const Analysis &A,
@@ -645,44 +560,41 @@ private:
         return;
       }
       const Inst &I = Nd.I;
-      int32_t W = writeSlot(I);
+      int32_t W = View::definedSlot(I);
       if (W >= 0)
         Facts.Written.insert(W);
-      switch (I.Code) {
-      case POp::Generic: {
+      if (I.Code == POp::Generic) {
         const ExecPlan::GenericPlan &G = Plan.Generics[I.Aux];
         for (int32_t S : G.BodyArgSlots)
           Facts.Written.insert(S);
         for (const Inst &B : G.Body) {
-          int32_t BW = writeSlot(B);
+          int32_t BW = View::definedSlot(B);
           if (BW >= 0)
             Facts.Written.insert(BW);
         }
+      }
+      Range R;
+      switch (effect(I)) {
+      case Effect::HostWrite:
+      case Effect::ReadBack:
         Facts.HostMemWrite = true;
         break;
-      }
-      case POp::Store:
-      case POp::Copy:
-      case POp::CallCopyFromDma:
-        Facts.HostMemWrite = true;
+      case Effect::Stage:
+        if (analysis::inputWriteRange(I, A, R))
+          Facts.InputWrites.push_back(R);
+        else
+          Facts.RegionUnknown = true;
+        break;
+      case Effect::Send:
+        if (!analysis::sendRange(I, A, R))
+          Facts.RegionUnknown = true;
+        break;
+      case Effect::Init:
+        Facts.RegionUnknown = true;
         break;
       default:
         break;
       }
-      if (isInputWrite(I.Code)) {
-        Range R;
-        if (inputWriteRange(I, A, R))
-          Facts.InputWrites.push_back(R);
-        else
-          Facts.RegionUnknown = true;
-      }
-      if (isAnySend(I.Code)) {
-        Range R;
-        if (!sendRange(I, A, R))
-          Facts.RegionUnknown = true;
-      }
-      if (I.Code == POp::CallDmaInit)
-        Facts.RegionUnknown = true;
     });
   }
 
@@ -719,7 +631,7 @@ private:
     // The loop's own induction variable is written by the loop node
     // itself, which the body walk doesn't see.
     Facts.Written.insert(Loop.I.Dst);
-    int64_t Trip = tripCount(Loop, A);
+    int64_t Trip = analysis::constTripCount(Loop.I, A);
 
     bool Changed = false;
     bool Repeat = true;
@@ -741,7 +653,7 @@ private:
 
         bool DoHoist = false;
         bool Charged = false;
-        if (isUncharged(I.Code)) {
+        if (!View::info(I.Code).Charged) {
           // Constants and index_casts charge nothing: re-executing them
           // per iteration versus once is invisible to every counter.
           DoHoist = true;
@@ -750,11 +662,11 @@ private:
           // a possibly-zero-trip loop would add charges, not remove them.
           DoHoist = Trip >= 1;
           Charged = true;
-        } else if (isInputWrite(I.Code)) {
+        } else if (effect(I) == Effect::Stage) {
           DoHoist = Trip >= 1 && !Facts.RegionUnknown;
           Charged = true;
           Range W{0, 0};
-          if (DoHoist && !inputWriteRange(I, A, W))
+          if (DoHoist && !analysis::inputWriteRange(I, A, W))
             DoHoist = false;
           if (DoHoist) {
             // Idempotence: the write must be the only writer of its
@@ -788,7 +700,7 @@ private:
           ++Stats.HoistedChargedInsts;
         else
           ++Stats.HoistedUnchargedInsts;
-        int32_t W = writeSlot(I);
+        int32_t W = View::definedSlot(I);
         if (W >= 0)
           Facts.Written.erase(W);
         Hoisted.push_back(std::move(Nd));
@@ -810,9 +722,9 @@ private:
       auto check = [&](const Node &Nd) {
         if (Nd.IsLoop || Found)
           return;
-        if (isAnySend(Nd.I.Code)) {
+        if (effect(Nd.I) == Effect::Send) {
           Range R;
-          if (!sendRange(Nd.I, A, R) || R.overlaps(W))
+          if (!analysis::sendRange(Nd.I, A, R) || R.overlaps(W))
             Found = true;
         }
       };
@@ -838,7 +750,7 @@ private:
     // what exposes constant send ranges for merging.
     Analysis A = analyze(Tree);
     if (mergePreconditions(Tree, A)) {
-      int64_t Capacity = inputRegionWords();
+      int64_t Capacity = analysis::inputRegionWords(View(Plan));
       if (Capacity > 0 && mergeSendsIn(Tree, A, Capacity))
         Changed = true;
     }
@@ -859,7 +771,7 @@ private:
       }
       if (flattenSingleTripLoops(Nd.Body, A))
         Changed = true;
-      if (tripCount(Nd, A) != 1) {
+      if (analysis::constTripCount(Nd.I, A) != 1) {
         Out.push_back(std::move(Nd));
         continue;
       }
@@ -875,10 +787,6 @@ private:
     }
     Body = std::move(Out);
     return Changed;
-  }
-
-  int64_t inputRegionWords() const {
-    return analysis::inputRegionWords(analysis::PlanView(Plan));
   }
 
   /// Global soundness precondition for merging: every send must stream
@@ -925,9 +833,9 @@ private:
         walkInsts(Nd.Body, [&](const Node &Sub) {
           if (Sub.IsLoop)
             return;
-          if (isInputWrite(Sub.I.Code)) {
+          if (effect(Sub.I) == Effect::Stage) {
             Range R;
-            if (inputWriteRange(Sub.I, A, R))
+            if (analysis::inputWriteRange(Sub.I, A, R))
               Writes.push_back(R);
             else
               Unknown = true;
@@ -940,10 +848,10 @@ private:
           return false;
         continue;
       }
-      if (!isFusedSend(Nd.I.Code))
+      if (Nd.I.Code != POp::CallSendFused)
         continue;
       Range S;
-      if (!sendRange(Nd.I, A, S))
+      if (!analysis::sendRange(Nd.I, A, S))
         return false;
       if (!coveredBackwards(&Body, Idx, S, Ctx, A))
         return false;
@@ -960,21 +868,6 @@ private:
   bool coveredBackwards(std::vector<Node> *Body, size_t Idx, Range Need,
                         const BodyContext *Ctx, const Analysis &A) {
     std::vector<Range> Covered;
-    auto isCovered = [&]() {
-      // Interval union check over the (small) covered set.
-      int64_t Pos = Need.Begin;
-      bool Progress = true;
-      while (Pos < Need.End && Progress) {
-        Progress = false;
-        for (const Range &R : Covered) {
-          if (R.Begin <= Pos && Pos < R.End) {
-            Pos = R.End;
-            Progress = true;
-          }
-        }
-      }
-      return Pos >= Need.End;
-    };
     std::vector<const std::vector<Range> *> CrossedWrites;
     for (;;) {
       for (size_t K = Idx; K-- > 0;) {
@@ -982,18 +875,18 @@ private:
         if (Nd.IsLoop)
           return false; // an intervening loop hides the staging order
         const Inst &I = Nd.I;
-        if (I.Code == POp::CallDmaInit)
+        if (effect(I) == Effect::Init)
           return true; // freshly zeroed region
-        if (isInputWrite(I.Code)) {
+        if (effect(I) == Effect::Stage) {
           Range R;
-          if (!inputWriteRange(I, A, R))
+          if (!analysis::inputWriteRange(I, A, R))
             return false;
           for (const std::vector<Range> *LW : CrossedWrites)
             for (const Range &InLoop : *LW)
               if (InLoop.overlaps(R))
                 return false;
           Covered.push_back(R);
-          if (isCovered())
+          if (Need.coveredBy(Covered))
             return true;
         }
         // Sends only read; pure/host ops never touch the region.
@@ -1026,7 +919,7 @@ private:
           while (Restart) {
             Restart = false;
             for (size_t I1 = 0; I1 < Body.size(); ++I1) {
-              if (Body[I1].IsLoop || !isFusedSend(Body[I1].I.Code))
+              if (Body[I1].IsLoop || Body[I1].I.Code != POp::CallSendFused)
                 continue;
               if (tryMergeAt(Body, I1, A, Capacity)) {
                 Changed = true;
@@ -1044,7 +937,7 @@ private:
   bool tryMergeAt(std::vector<Node> &Body, size_t I1, Analysis &A,
                   int64_t Capacity) {
     Range S1;
-    if (!sendRange(Body[I1].I, A, S1))
+    if (!analysis::sendRange(Body[I1].I, A, S1))
       return false;
     // Collect the second send's staging group.
     std::vector<size_t> Group;
@@ -1055,39 +948,27 @@ private:
       if (Nd.IsLoop)
         return false;
       const Inst &I = Nd.I;
-      if (isFusedSend(I.Code)) {
+      if (I.Code == POp::CallSendFused) {
         I2 = J;
         FoundSecond = true;
         break;
       }
-      if (isInputWrite(I.Code)) {
+      if (effect(I) == Effect::Stage) {
         Range R;
-        if (!inputWriteRange(I, A, R))
+        if (!analysis::inputWriteRange(I, A, R))
           return false;
         Group.push_back(J);
         continue;
       }
-      switch (I.Code) {
-      case POp::ConstInt:
-      case POp::ConstFloat:
-      case POp::Binary:
-      case POp::IndexCast:
-      case POp::Alloc:
-      case POp::Dealloc:
-      case POp::Load:
-      case POp::Store:
-      case POp::Copy:
-      case POp::SubView:
-      case POp::Generic:
-        continue; // region-blind: streams later, reads/writes host only
-      default:
-        return false; // recv / dma_init / anything region-ordered
-      }
+      // Region-blind instructions (reading or writing host memory only)
+      // may stay between the sends; anything region-ordered may not.
+      if (effect(I) != Effect::None && effect(I) != Effect::HostWrite)
+        return false;
     }
     if (!FoundSecond || Group.empty())
       return false;
     Range S2;
-    if (!sendRange(Body[I2].I, A, S2))
+    if (!analysis::sendRange(Body[I2].I, A, S2))
       return false;
     int64_t L2 = S2.End - S2.Begin;
     if (L2 <= 0 || S1.End - S1.Begin <= 0)
@@ -1100,26 +981,14 @@ private:
     std::vector<Range> Ranges;
     for (size_t J : Group) {
       Range R;
-      if (!inputWriteRange(Body[J].I, A, R))
+      if (!analysis::inputWriteRange(Body[J].I, A, R))
         return false;
       if (R.Begin < S2.Begin || R.End > S2.End)
         return false;
       Ranges.push_back(R);
     }
-    {
-      int64_t Pos = S2.Begin;
-      bool Progress = true;
-      while (Pos < S2.End && Progress) {
-        Progress = false;
-        for (const Range &R : Ranges)
-          if (R.Begin <= Pos && Pos < R.End) {
-            Pos = R.End;
-            Progress = true;
-          }
-      }
-      if (Pos < S2.End)
-        return false;
-    }
+    if (!S2.coveredBy(Ranges))
+      return false;
 
     // Relocation rewrites the group's offsets and the second send's
     // operands; the group members' end-offset results change value, so
@@ -1171,7 +1040,7 @@ private:
     };
     for (size_t J : Group) {
       Range R;
-      inputWriteRange(Body[J].I, A, R);
+      analysis::inputWriteRange(Body[J].I, A, R);
       Body[J].I.B = makeConst(R.Begin + Delta);
     }
     Inst &Merged = Body[I2].I;

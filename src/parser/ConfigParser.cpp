@@ -10,6 +10,7 @@
 #include "support/JSON.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace axi4mlir;
@@ -457,6 +458,18 @@ static LogicalResult parseFaults(const json::Value &Root, SystemConfig &Config,
   return success();
 }
 
+/// Serve counts are stored as unsigned; a larger value would wrap (a
+/// queue depth of 2^32 would become 0 and shed every job).
+static LogicalResult checkFitsUnsigned(const char *Key, int64_t Value,
+                                       std::string *Error) {
+  if (Value <= std::numeric_limits<unsigned>::max())
+    return success();
+  return fail(Error, std::string("'serve.") + Key + "' (" +
+                         std::to_string(Value) + ") does not fit in " +
+                         std::to_string(std::numeric_limits<unsigned>::digits) +
+                         " bits");
+}
+
 static LogicalResult parseServe(const json::Value &Root, SystemConfig &Config,
                                 std::string *Error) {
   const json::Value *Serve = Root.get("serve");
@@ -480,6 +493,14 @@ static LogicalResult parseServe(const json::Value &Root, SystemConfig &Config,
   if (Cooldown < 0 || Threads < 0 || PlanCache < 1)
     return fail(Error, "'serve' breaker_cooldown/threads must be >= 0 and "
                        "plan_cache >= 1");
+  const std::pair<const char *, int64_t> Counts[] = {
+      {"instances", Instances},       {"queue_depth", QueueDepth},
+      {"max_attempts", MaxAttempts},  {"breaker_threshold", Threshold},
+      {"breaker_cooldown", Cooldown}, {"plan_cache", PlanCache},
+      {"threads", Threads}};
+  for (const auto &[Key, Value] : Counts)
+    if (failed(checkFitsUnsigned(Key, Value, Error)))
+      return failure();
   S.Instances = static_cast<unsigned>(Instances);
   S.QueueDepth = static_cast<unsigned>(QueueDepth);
   S.MaxAttempts = static_cast<unsigned>(MaxAttempts);
@@ -510,6 +531,8 @@ static LogicalResult parseServe(const json::Value &Root, SystemConfig &Config,
   int64_t FaultyJobs = Serve->getInt("faulty_jobs", 0);
   if (FaultyJobs < 0)
     return fail(Error, "'serve.faulty_jobs' must be >= 0");
+  if (failed(checkFitsUnsigned("faulty_jobs", FaultyJobs, Error)))
+    return failure();
   S.FaultyJobs = static_cast<unsigned>(FaultyJobs);
   return success();
 }
@@ -586,4 +609,20 @@ FailureOr<SystemConfig> parser::parseSystemConfigFile(const std::string &Path,
   std::ostringstream Contents;
   Contents << Input.rdbuf();
   return parseSystemConfig(Contents.str(), Error);
+}
+
+FailureOr<sim::SoCParams> parser::makeSoCParams(const CpuInfo &Cpu,
+                                                std::string *Error) {
+  sim::SoCParams Params;
+  Params.L2SizeBytes = Cpu.lastLevelCacheBytes();
+  int64_t SetBytes = Params.L2Associativity * Params.CacheLineBytes;
+  if (Params.L2SizeBytes < SetBytes)
+    return fail(Error, "'cpu.cache-levels' last level (" +
+                           std::to_string(Params.L2SizeBytes) +
+                           " B) is smaller than one L2 set (" +
+                           std::to_string(Params.L2Associativity) +
+                           " ways x " +
+                           std::to_string(Params.CacheLineBytes) + " B = " +
+                           std::to_string(SetBytes) + " B)");
+  return Params;
 }

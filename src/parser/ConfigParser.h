@@ -15,6 +15,7 @@
 #define AXI4MLIR_PARSER_CONFIGPARSER_H
 
 #include "parser/AcceleratorConfig.h"
+#include "sim/CostModel.h"
 #include "support/LogicalResult.h"
 
 #include <string>
@@ -29,6 +30,13 @@ FailureOr<SystemConfig> parseSystemConfig(const std::string &Text,
 /// Parses a configuration file from disk.
 FailureOr<SystemConfig> parseSystemConfigFile(const std::string &Path,
                                               std::string *Error = nullptr);
+
+/// The modeled SoC calibration \p Cpu describes: the defaults, with the
+/// last `cpu.cache-levels` entry as the L2. Fails with a diagnostic in
+/// \p Error when that level cannot hold one cache set (L2Associativity x
+/// CacheLineBytes), since no SoC could be built from it.
+FailureOr<sim::SoCParams> makeSoCParams(const CpuInfo &Cpu,
+                                        std::string *Error = nullptr);
 
 } // namespace parser
 } // namespace axi4mlir

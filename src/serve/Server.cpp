@@ -11,6 +11,7 @@
 #include "exec/ExecPlan.h"
 #include "exec/Pipeline.h"
 #include "exec/Reference.h"
+#include "parser/ConfigParser.h"
 #include "runtime/DmaRuntime.h"
 #include "sim/MatMulAccelerator.h"
 #include "sim/SoC.h"
@@ -657,19 +658,10 @@ serve::makeServerOptions(const parser::SystemConfig &Config,
   Options.Threads = Serve.Threads;
   Options.DefaultDeadlineMs = Serve.DefaultDeadlineMs;
   Options.CpuFallback = Serve.CpuFallback;
-  Options.Params.L2SizeBytes = Config.Cpu.lastLevelCacheBytes();
-  int64_t SetBytes =
-      Options.Params.L2Associativity * Options.Params.CacheLineBytes;
-  if (Options.Params.L2SizeBytes < SetBytes) {
-    if (Error)
-      *Error = "'cpu.cache-levels' last level (" +
-               std::to_string(Options.Params.L2SizeBytes) +
-               " B) is smaller than one L2 set (" +
-               std::to_string(Options.Params.L2Associativity) + " ways x " +
-               std::to_string(Options.Params.CacheLineBytes) + " B = " +
-               std::to_string(SetBytes) + " B)";
+  FailureOr<sim::SoCParams> Params = parser::makeSoCParams(Config.Cpu, Error);
+  if (failed(Params))
     return failure();
-  }
+  Options.Params = *Params;
   return Options;
 }
 

@@ -163,10 +163,10 @@ struct ServerOptions {
 };
 
 /// Builds ServerOptions from a parsed configuration file's serve section
-/// (defaults when the section is absent). The last `cpu.cache-levels`
-/// entry becomes the modeled L2; fails with a diagnostic in \p Error when
-/// it cannot hold one cache set (L2Associativity x CacheLineBytes), since
-/// no instance SoC could be built from it.
+/// (defaults when the section is absent) and its SoC calibration
+/// (parser::makeSoCParams: the last `cpu.cache-levels` entry becomes the
+/// modeled L2). Fails with that function's diagnostic in \p Error when
+/// the level cannot hold one cache set.
 FailureOr<ServerOptions> makeServerOptions(const parser::SystemConfig &Config,
                                            std::string *Error = nullptr);
 

@@ -449,6 +449,18 @@ TEST(ConfigParser, ServeDiagnostics) {
               "'serve.faulty_instance' must name a pool instance");
   expectError(R"("serve": { "faulty_jobs": -1 },)",
               "'serve.faulty_jobs' must be >= 0");
+  // Counts are stored as unsigned: 2^32 used to wrap (a queue depth of
+  // 2^32 became 0, 2^32 + 1 instances became 1). 2^32 - 1 still parses.
+  for (const char *Key :
+       {"instances", "queue_depth", "max_attempts", "breaker_threshold",
+        "breaker_cooldown", "plan_cache", "threads", "faulty_jobs"})
+    expectError(std::string(R"("serve": { ")") + Key + R"(": 4294967296 },)",
+                std::string("'serve.") + Key +
+                    "' (4294967296) does not fit in 32 bits");
+  auto MaxDepth = parseSystemConfig(
+      withServe(R"("serve": { "queue_depth": 4294967295 },)"));
+  ASSERT_TRUE(succeeded(MaxDepth));
+  EXPECT_EQ(MaxDepth->Serve.QueueDepth, 4294967295u);
   // faulty_instance without a faults section has no schedule to assign.
   std::string Error;
   EXPECT_TRUE(failed(parseSystemConfig(R"json({

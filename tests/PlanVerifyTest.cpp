@@ -83,6 +83,37 @@ std::unique_ptr<ExecPlan> compilePlan(parser::AcceleratorDesc &AccelOut,
   return lowerAndCompile(Func, AccelOut, FuseTransferPairs);
 }
 
+/// The v3 8-tile driver of an 18x10x14 matmul: its pad remainders stage
+/// partial tiles through memref.alloc'd buffers with memref.copy.
+std::unique_ptr<ExecPlan> compilePadPlan() {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func =
+      buildMatMulFunc(Builder, 18, 10, 14, sim::ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  return lowerAndCompile(
+      Func, parseSingleAccelerator(makeMatMulConfigJson(V::V3, 8, "Ns")));
+}
+
+/// The mlir_CPU form of a 4x4x4 matmul: one linalg.generic.
+std::unique_ptr<ExecPlan> compileCpuPlan() {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func = buildMatMulFunc(Builder, 4, 4, 4, sim::ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  std::string Error;
+  if (failed(transforms::convertNamedToGeneric(Func, Error))) {
+    ADD_FAILURE() << Error;
+    return nullptr;
+  }
+  auto Plan = ExecPlan::compile(Func, Error);
+  if (!Plan)
+    ADD_FAILURE() << "plan compilation failed: " << Error;
+  return Plan;
+}
+
 /// \p Text with its one occurrence of \p From replaced by \p To.
 std::string replaceOnce(std::string Text, const std::string &From,
                         const std::string &To) {
@@ -267,6 +298,156 @@ TEST(PlanVerify, NonPositiveLoopStepRejected) {
   ASSERT_GE(StepConst, 0) << "expected a constant loop step";
   Program[StepConst].Imm = 0;
   expectError(analysis::verifyPlan(*Plan), "not positive");
+}
+
+/// Operand kinds come from the opcode table: a memref where a scalar is
+/// expected and a scalar where a memref is expected are both rejected,
+/// naming the operand's role.
+TEST(PlanVerify, OperandKindMismatchRejected) {
+  parser::AcceleratorDesc Accel;
+  for (bool MemRefAsOffset : {false, true}) {
+    auto Plan = compilePlan(Accel);
+    ASSERT_TRUE(Plan);
+    int64_t Copy = findInst(
+        *Plan, [](const Inst &I) { return I.Code == POp::CallCopyToDma; });
+    ASSERT_GE(Copy, 0);
+    Inst &I = PlanView::mutableProgram(*Plan)[Copy];
+    std::string Expected = "(copy_to_dma): expects ";
+    if (MemRefAsOffset) {
+      I.B = I.A;
+      Expected += "a scalar as the staging offset but %" +
+                  std::to_string(I.A) + " holds a memref";
+    } else {
+      I.A = I.B;
+      Expected += "a memref as the staged memref but %" +
+                  std::to_string(I.B) + " holds a scalar";
+    }
+    expectError(analysis::verifyPlan(*Plan), Expected);
+  }
+}
+
+/// Every side-table index (alloc, subview and generic plans, dma configs)
+/// is bounds-checked before the verifier reads the entry.
+TEST(PlanVerify, SideTableIndexOutOfBoundsRejected) {
+  parser::AcceleratorDesc Accel;
+  struct Case {
+    POp Code;
+    std::unique_ptr<ExecPlan> Plan;
+    const char *Message;
+  };
+  Case Cases[] = {
+      {POp::Alloc, compilePadPlan(), "(alloc): alloc side-table index #"},
+      {POp::SubView, compilePlan(Accel),
+       "(subview): subview side-table index #"},
+      {POp::Generic, compileCpuPlan(), "(generic): generic side-table index #"},
+      {POp::CallDmaInit, compilePlan(Accel),
+       "(dma_init): dma config index #"}};
+  for (Case &C : Cases) {
+    ASSERT_TRUE(C.Plan);
+    PlanView View(*C.Plan);
+    size_t Entries = C.Code == POp::Alloc     ? View.allocs().size()
+                     : C.Code == POp::SubView ? View.subViews().size()
+                     : C.Code == POp::Generic ? View.generics().size()
+                                              : View.dmaConfigs().size();
+    int64_t Pc =
+        findInst(*C.Plan, [&](const Inst &I) { return I.Code == C.Code; });
+    ASSERT_GE(Pc, 0) << C.Message;
+    PlanView::mutableProgram(*C.Plan)[Pc].Aux = static_cast<int32_t>(Entries);
+    expectError(analysis::verifyPlan(*C.Plan),
+                C.Message + std::to_string(Entries) + " out of bounds (" +
+                    std::to_string(Entries) + " entries)");
+  }
+}
+
+/// Load/store index lists must lie inside the slot pool, and a memref of
+/// known rank must be indexed in every dimension. The plans hold no
+/// load/store, so the mutations turn a subview or a staging copy into one.
+TEST(PlanVerify, LoadStoreIndexingRejected) {
+  parser::AcceleratorDesc Accel;
+  for (POp Code : {POp::Load, POp::Store}) {
+    const char *Name = Code == POp::Load ? "(load): " : "(store): ";
+    {
+      auto Plan = compilePlan(Accel);
+      ASSERT_TRUE(Plan);
+      int32_t PoolSize =
+          static_cast<int32_t>(PlanView(*Plan).slotPool().size());
+      int64_t Pc = findInst(
+          *Plan, [](const Inst &I) { return I.Code == POp::SubView; });
+      ASSERT_GE(Pc, 0);
+      Inst &I = PlanView::mutableProgram(*Plan)[Pc];
+      I.Code = Code;
+      I.Sub = 2;
+      I.Aux = PoolSize - 1;
+      expectError(analysis::verifyPlan(*Plan),
+                  Name + std::string("index pool range [") +
+                      std::to_string(PoolSize - 1) + ", " +
+                      std::to_string(PoolSize + 1) +
+                      ") is outside the plan's pool (" +
+                      std::to_string(PoolSize) + " entries)");
+    }
+    {
+      // copy_to_dma %tile @ %off becomes a one-index access to the rank-2
+      // subview %tile.
+      auto Plan = compilePlan(Accel);
+      ASSERT_TRUE(Plan);
+      int64_t Pc = findInst(
+          *Plan, [](const Inst &I) { return I.Code == POp::CallCopyToDma; });
+      ASSERT_GE(Pc, 0);
+      Inst &I = PlanView::mutableProgram(*Plan)[Pc];
+      if (Code == POp::Store)
+        std::swap(I.A, I.B); // store %off -> %tile
+      I.Code = Code;
+      I.Sub = 1;
+      I.Aux = 0;
+      expectError(analysis::verifyPlan(*Plan),
+                  Name + std::string("indexes a rank-2 memref with 1 indices"));
+    }
+  }
+}
+
+/// memref.copy needs equal element counts on both sides: retargeting a
+/// pad copy (a 2x8 partial tile into a 2x8 window of an 8x8 buffer) at
+/// the whole buffer is rejected.
+TEST(PlanVerify, CopyElementCountMismatchRejected) {
+  auto Plan = compilePadPlan();
+  ASSERT_TRUE(Plan);
+  int64_t Alloc =
+      findInst(*Plan, [](const Inst &I) { return I.Code == POp::Alloc; });
+  int64_t Copy =
+      findInst(*Plan, [](const Inst &I) { return I.Code == POp::Copy; });
+  ASSERT_GE(Alloc, 0);
+  ASSERT_GT(Copy, Alloc);
+  std::vector<Inst> &Program = PlanView::mutableProgram(*Plan);
+  Program[Copy].B = Program[Alloc].Dst;
+  expectError(analysis::verifyPlan(*Plan),
+              "(copy): copies between memrefs of different element counts "
+              "(16 vs 64)");
+}
+
+/// An operand slot outside the plan is reported once and then treated as
+/// unknown: the shared constant facts used to be indexed with it, reading
+/// past their end.
+TEST(PlanVerify, OutOfRangeOperandIsNotFolded) {
+  parser::AcceleratorDesc Accel;
+  auto Plan = compilePlan(Accel);
+  ASSERT_TRUE(Plan);
+  int32_t NumSlots = static_cast<int32_t>(PlanView(*Plan).numSlots());
+  int64_t Send = findInst(
+      *Plan, [](const Inst &I) { return I.Code == POp::CallSendFused; });
+  ASSERT_GE(Send, 0);
+  PlanView::mutableProgram(*Plan)[Send].A = NumSlots;
+  analysis::VerifyResult Result = analysis::verifyPlan(*Plan);
+  expectError(Result, "(send_fused): reads the send end offset from slot %" +
+                          std::to_string(NumSlots) + " outside the plan's " +
+                          std::to_string(NumSlots) + " slots");
+  std::string At = "pc " + std::to_string(Send) + " (send_fused): ";
+  bool Unproven = false;
+  for (const analysis::PlanDiag &D : Result.Warnings)
+    Unproven = Unproven ||
+               D.Message == At + "cannot prove the send stays inside the DMA "
+                                 "input region (offset or length is not a "
+                                 "compile-time constant)";
+  EXPECT_TRUE(Unproven) << Result.toString();
 }
 
 /// A conv flow that streams the windows before loading their filter. The

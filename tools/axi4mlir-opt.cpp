@@ -525,6 +525,15 @@ int runTool(CliOptions Options) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
+  // The SoC the cost model plans for and --run simulates, with the
+  // config's last cache level as its L2.
+  FailureOr<sim::SoCParams> Params =
+      parser::makeSoCParams(Config->Cpu, &Error);
+  if (failed(Params)) {
+    std::fprintf(stderr, "error: %s: %s\n", Options.ConfigPath.c_str(),
+                 Error.c_str());
+    return 1;
+  }
 
   // Fault schedule: the config file's `faults` section, with --faults
   // entries appended and --spares overriding the spare count.
@@ -610,8 +619,9 @@ int runTool(CliOptions Options) {
 
   transforms::LoweringOptions Lowering;
   Lowering.EnableCpuTiling = Options.CpuTiling;
-  Lowering.CacheBytes = Config->Cpu.lastLevelCacheBytes();
+  Lowering.CacheBytes = Params->L2SizeBytes;
   Lowering.Remainder = Options.Remainder;
+  Lowering.CostParams = *Params;
   auto Plans = std::make_shared<std::vector<transforms::TilingPlan>>();
   transforms::PassManager Pipeline =
       transforms::buildPipeline(Candidates, Lowering, Plans);
@@ -712,9 +722,9 @@ int runTool(CliOptions Options) {
     }
     Soc = sim::makeMatMulSoC(
         *Version, sim::MatMulAccelerator::engineSizeFor(Accel.AccelSize),
-        Kind);
+        Kind, *Params);
   } else {
-    Soc = sim::makeConvSoC(Kind);
+    Soc = sim::makeConvSoC(Kind, *Params);
   }
   // Arm the fault injector and register spare failover units (protocol-
   // identical clones, scored like the dispatched plan). The injector must

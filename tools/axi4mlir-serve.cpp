@@ -29,6 +29,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -91,11 +92,20 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
         return Inline.c_str();
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
-    auto nextInt = [&](const char *Flag, int64_t Min, int64_t &Out) {
+    // --jobs, --threads and --seed land in 32-bit fields; a larger value
+    // would wrap.
+    constexpr int64_t Max32 = std::numeric_limits<uint32_t>::max();
+    auto nextInt = [&](const char *Flag, int64_t Min, int64_t &Out,
+                       int64_t Max = std::numeric_limits<int64_t>::max()) {
       const char *V = next();
       if (!V || !parseInteger(V, Out) || Out < Min) {
         std::fprintf(stderr, "error: %s needs an integer >= %lld (got '%s')\n",
                      Flag, static_cast<long long>(Min), V ? V : "");
+        return false;
+      }
+      if (Out > Max) {
+        std::fprintf(stderr, "error: %s (%s) does not fit in 32 bits\n", Flag,
+                     V);
         return false;
       }
       return true;
@@ -107,12 +117,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
       Options.ConfigPath = V;
     } else if (Arg == "--jobs") {
       int64_t Value = 0;
-      if (!nextInt("--jobs", 1, Value))
+      if (!nextInt("--jobs", 1, Value, Max32))
         return false;
       Options.Jobs = static_cast<unsigned>(Value);
     } else if (Arg == "--threads") {
       int64_t Value = 0;
-      if (!nextInt("--threads", 0, Value))
+      if (!nextInt("--threads", 0, Value, Max32))
         return false;
       Options.Threads = Value;
     } else if (Arg == "--deadline") {
@@ -122,7 +132,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
       Options.DeadlineMs = static_cast<double>(Value);
     } else if (Arg == "--seed") {
       int64_t Value = 0;
-      if (!nextInt("--seed", 0, Value))
+      if (!nextInt("--seed", 0, Value, Max32))
         return false;
       Options.Seed = static_cast<uint32_t>(Value);
     } else if (Arg == "--help" || Arg == "-h") {
