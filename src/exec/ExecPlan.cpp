@@ -827,13 +827,16 @@ LogicalResult ExecPlan::runSpan(const std::vector<Inst> &Code,
         break;
       case Op::CallSendFused:
         // One dispatch for the blocking start+wait pair; the runtime calls
-        // (and thus every perf charge) are unchanged and in order.
+        // (and thus every perf charge) are unchanged and in order. Like
+        // the walker, a failed start is never waited for.
         Rt.dmaStartSend(S.Cells[I.A].I - S.Cells[I.B].I, S.Cells[I.B].I);
-        Rt.dmaWaitSendCompletion();
+        if (Rt.status() == sim::AccelStatus::Ok)
+          Rt.dmaWaitSendCompletion();
         break;
       case Op::CallRecvFused:
         Rt.dmaStartRecv(S.Cells[I.A].I, S.Cells[I.B].I);
-        Rt.dmaWaitRecvCompletion();
+        if (Rt.status() == sim::AccelStatus::Ok)
+          Rt.dmaWaitRecvCompletion();
         break;
       case Op::CallCopyFromDma:
         Rt.copyFromDmaRegion(S.Cells[I.A].M, S.Cells[I.B].I, I.Sub != 0);

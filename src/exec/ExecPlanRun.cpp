@@ -794,6 +794,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaStartSend(Cells[Ip->A].I - Cells[Ip->B].I, Cells[Ip->B].I);
+    RT_STATUS_CHECK(*S.Runtime); // a failed start is never waited for
     S.Runtime->dmaWaitSendCompletion();
     RT_STATUS_CHECK(*S.Runtime);
     ++Ip;
@@ -803,6 +804,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaStartRecv(Cells[Ip->A].I, Cells[Ip->B].I);
+    RT_STATUS_CHECK(*S.Runtime);
     S.Runtime->dmaWaitRecvCompletion();
     RT_STATUS_CHECK(*S.Runtime);
     ++Ip;

@@ -23,6 +23,8 @@
 #include "exec/Reference.h"
 #include "exec/opt/PlanOpt.h"
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 using namespace axi4mlir;
@@ -32,7 +34,7 @@ using V = sim::MatMulAccelerator::Version;
 
 namespace {
 
-/// Every counter of the perf report, compared exactly. The doubles are
+/// Every field of the perf report, compared exactly. The doubles are
 /// sums accumulated in the same order on both sides, so even they must
 /// match bit for bit.
 void expectIdenticalReports(const sim::PerfReport &Walker,
@@ -49,6 +51,16 @@ void expectIdenticalReports(const sim::PerfReport &Walker,
   EXPECT_EQ(Walker.DmaTransfers, Plan.DmaTransfers);
   EXPECT_EQ(Walker.DmaBytesMoved, Plan.DmaBytesMoved);
   EXPECT_EQ(Walker.TaskClockMs, Plan.TaskClockMs);
+  EXPECT_EQ(Walker.FaultsInjected, Plan.FaultsInjected);
+  EXPECT_EQ(Walker.RecoveryRetries, Plan.RecoveryRetries);
+  EXPECT_EQ(Walker.RecoveryBackoffCycles, Plan.RecoveryBackoffCycles);
+  EXPECT_EQ(Walker.WatchdogPollCycles, Plan.WatchdogPollCycles);
+  EXPECT_EQ(Walker.RecoveryReplayCycles, Plan.RecoveryReplayCycles);
+  EXPECT_EQ(Walker.FailoverEvents, Plan.FailoverEvents);
+  EXPECT_EQ(Walker.CpuFallbackEvents, Plan.CpuFallbackEvents);
+  EXPECT_EQ(Walker.CpuFallbackCycles, Plan.CpuFallbackCycles);
+  EXPECT_EQ(Walker.PlanCacheHits, Plan.PlanCacheHits);
+  EXPECT_EQ(Walker.PlanCacheMisses, Plan.PlanCacheMisses);
 }
 
 /// How far to lower the matmul before execution.
@@ -353,6 +365,91 @@ TEST(ExecPlan, DiagnosticsMatchWalker) {
   Interpreter Walker(*Soc, nullptr, ExecMode::Walker);
   EXPECT_TRUE(failed(Walker.run(Func, {}, WalkerError)));
   EXPECT_EQ(PlanError, WalkerError);
+}
+
+/// Runs a 16x16x16 v3-8 Ns driver that dies at a transfer through the
+/// walker, ExecPlan::run and the threaded engine, on one SoC and one set
+/// of operands, and expects the same error text (containing \p Needle)
+/// and every PerfReport field to agree. \p Faults (empty: no injector)
+/// and \p OutputBufferSize (0: the config's) make the run fail.
+void checkFailedRunsAgree(const sim::FaultPlan &Faults,
+                          int64_t OutputBufferSize,
+                          const std::string &Needle) {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func = buildMatMulFunc(Builder, 16, 16, 16, sim::ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  parser::AcceleratorDesc Accel =
+      parseSingleAccelerator(makeMatMulConfigJson(V::V3, 8, "Ns"));
+  if (OutputBufferSize)
+    Accel.DmaConfig.OutputBufferSize = OutputBufferSize;
+  ASSERT_TRUE(lowerMatMul(Func, Level::Axirt, Accel));
+  std::string Error;
+  std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
+  ASSERT_NE(Plan, nullptr) << Error;
+  std::unique_ptr<DecodedPlan> Decoded = DecodedPlan::decode(*Plan);
+
+  std::optional<sim::FaultInjector> Injector; // outlives the SoC
+  auto Soc = sim::makeMatMulSoC(V::V3, 8);
+  runtime::DmaRuntime Runtime(*Soc);
+  std::vector<MemRefDesc> Args = {MemRefDesc::alloc({16, 16}),
+                                  MemRefDesc::alloc({16, 16}),
+                                  MemRefDesc::alloc({16, 16})};
+  auto runOnce = [&](auto Execute, std::string &RunError) {
+    for (size_t I = 0; I < Args.size(); ++I)
+      fillRandom(Args[I], 31 + static_cast<uint32_t>(I));
+    // A failed run leaves the accelerator mid-opcode and the engine's
+    // status latched; start each run from a clean board.
+    Soc->accelerator()->reset();
+    Injector.emplace(Faults);
+    Soc->attachFaultInjector(Faults.empty() ? nullptr : &*Injector);
+    Soc->resetCounters();
+    EXPECT_TRUE(failed(Execute(RunError)));
+    EXPECT_NE(RunError.find(Needle), std::string::npos) << RunError;
+    return Soc->report();
+  };
+  auto walker = [&](std::string &RunError) {
+    Interpreter Walker(*Soc, &Runtime, ExecMode::Walker);
+    return Walker.run(Func, Args, RunError);
+  };
+
+  std::string Ignored, WalkerError, PlanError, ThreadedError;
+  runOnce(walker, Ignored); // allocator warm-up
+  sim::PerfReport WalkerReport = runOnce(walker, WalkerError);
+  sim::PerfReport PlanReport = runOnce(
+      [&](std::string &RunError) {
+        return Plan->run(*Soc, &Runtime, Args, RunError);
+      },
+      PlanError);
+  sim::PerfReport ThreadedReport = runOnce(
+      [&](std::string &RunError) {
+        return Decoded->run(*Soc, &Runtime, Args, RunError);
+      },
+      ThreadedError);
+  EXPECT_EQ(WalkerError, PlanError);
+  EXPECT_EQ(WalkerError, ThreadedError);
+  expectIdenticalReports(WalkerReport, PlanReport);
+  expectIdenticalReports(WalkerReport, ThreadedReport);
+}
+
+/// The walker stops at the first runtime call that fails, so a failed
+/// transfer start is never waited for; the plan executors must not charge
+/// the wait they dispatch together with the start.
+TEST(ExecPlan, FailedSendMatchesWalker) {
+  sim::FaultPlan Faults;
+  sim::FaultEvent Corrupt;
+  Corrupt.Kind = sim::FaultKind::CorruptWord;
+  Corrupt.At = 1;
+  Faults.Events.push_back(Corrupt);
+  Faults.Recovery.Enabled = false;
+  checkFailedRunsAgree(Faults, 0, "corrupt-word");
+}
+
+TEST(ExecPlan, FailedRecvMatchesWalker) {
+  // 16 output words: the first 8x8 result tile does not fit.
+  checkFailedRunsAgree(sim::FaultPlan(), /*OutputBufferSize=*/0x40,
+                       "recv burst exceeds the output staging region");
 }
 
 //===----------------------------------------------------------------------===//
