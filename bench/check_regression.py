@@ -2,7 +2,9 @@
 """Compare a runtime_micro run against the committed baseline trajectory.
 
 Fails (exit 1) when any BM_* benchmark's median real_time regressed by more
-than the threshold versus the baseline entry. Used by the CI bench job:
+than the threshold versus the baseline entry. Baseline benchmarks missing
+from the current run (deleted or renamed) are listed as "(gone)" without
+failing, so none drops out of the gate unnoticed. Used by the CI bench job:
 
   python3 bench/check_regression.py \
       --baseline BENCH_runtime_micro.json --baseline-label optimized \
@@ -100,6 +102,8 @@ def main():
             regressions.append((name, delta_pct))
         elif delta_pct < 0:
             improvements.append((name, baseline[name] / current[name]))
+    for name in sorted(set(baseline) - set(current)):
+        print(f"{name:<44} {baseline[name]:>12.1f} {'(gone)':>12} {'':>8}")
 
     # Improvements are reported (never gated): a speedup PR's CI log is
     # its own before/after record.

@@ -92,8 +92,8 @@ int64_t constTripCount(const PlanView::Inst &LoopBegin,
 bool inputWriteRange(const PlanView::Inst &I, const SlotFacts &Facts,
                      WordRange &R);
 
-/// Constant [offset, end) range of a start_send / send_fused
-/// instruction, if both operands are known.
+/// Constant [offset, end) range of a send instruction, if both operands
+/// are known.
 bool sendRange(const PlanView::Inst &I, const SlotFacts &Facts,
                WordRange &R);
 

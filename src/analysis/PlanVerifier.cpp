@@ -75,7 +75,6 @@ private:
     std::vector<AbsSlot> Slots;
     SlotFacts Facts;
     int32_t CurDma;
-    int64_t PendingSend, PendingRecv;
     ProtocolModel Model;
     std::map<int64_t, AbstractWord> Region;
     bool RegionUnknown;
@@ -412,15 +411,12 @@ private:
   //===------------------------------------------------------------------===//
 
   Snapshot save() const {
-    return {Slots,  Facts, CurDma,       PendingSend,
-            PendingRecv, Model, Region, RegionUnknown};
+    return {Slots, Facts, CurDma, Model, Region, RegionUnknown};
   }
   void restore(Snapshot &&S) {
     Slots = std::move(S.Slots);
     Facts = std::move(S.Facts);
     CurDma = S.CurDma;
-    PendingSend = S.PendingSend;
-    PendingRecv = S.PendingRecv;
     Model = S.Model;
     Region = std::move(S.Region);
     RegionUnknown = S.RegionUnknown;
@@ -500,13 +496,10 @@ private:
     if (Model == Entry)
       return; // protocol-neutral body
     ProtocolModel AfterOne = Model;
-    int64_t PS = PendingSend, PR = PendingRecv;
     int32_t CD = CurDma;
     ++QuietDepth;
     walkSpan(LoopPc + 1, EndPc);
     --QuietDepth;
-    PendingSend = PS;
-    PendingRecv = PR;
     CurDma = CD;
     ProtocolModel AfterTwo = Model;
     if (!AfterOne.sameFsmPosition(AfterTwo) || AfterTwo.gaveUp()) {
@@ -606,23 +599,8 @@ private:
       return static_cast<size_t>(I.Aux);
     }
 
-    if (Trip != 1) {
-      // The body may repeat: a transfer still in flight at the back edge
-      // would be restarted before its wait.
-      if (PendingSend != Pre.PendingSend) {
-        error(PendingSend >= 0 ? PendingSend : Pc,
-              "send started inside the loop body is still outstanding "
-              "when the body repeats");
-        PendingSend = Pre.PendingSend;
-      }
-      if (PendingRecv != Pre.PendingRecv) {
-        error(PendingRecv >= 0 ? PendingRecv : Pc,
-              "receive started inside the loop body is still outstanding "
-              "when the body repeats");
-        PendingRecv = Pre.PendingRecv;
-      }
+    if (Trip != 1)
       stabilizeProtocol(PcU, EndPc, Pre.Model, Trip);
-    }
     if (Trip < 0)
       mergeUnknownTrip(Pre);
     return static_cast<size_t>(I.Aux);
@@ -636,7 +614,6 @@ private:
   SlotFacts Facts;
   std::vector<AbsSlot> Slots;
   int32_t CurDma = -1; ///< active dma config (-1 none, -2 loop-dependent)
-  int64_t PendingSend = -1, PendingRecv = -1; ///< pc of outstanding start
   bool Aborted = false;
   int QuietDepth = 0;
 
@@ -744,8 +721,7 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     break;
   }
 
-  case Op::CallStartSend:
-  case Op::CallSendFused: {
+  case Op::CallSend: {
     WordRange Rg;
     bool RangeKnown = sendRange(I, Facts, Rg);
     if (RangeKnown && Rg.End < Rg.Begin)
@@ -755,12 +731,6 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     else
       checkRegionRange(Pc, /*Input=*/true, RangeKnown, Rg.Begin,
                        RangeKnown ? Rg.size() : -1, "the send");
-    if (PendingSend >= 0)
-      error(Pc, "starts a send while the send at pc " +
-                    std::to_string(PendingSend) +
-                    " is still outstanding (its wait was dropped)");
-    if (I.Code == Op::CallStartSend)
-      PendingSend = Pc;
     if (RangeKnown && Rg.End >= Rg.Begin) {
       streamStagedRange(Pc, Rg.Begin, Rg.End);
     } else if (HaveModel && !Model.gaveUp()) {
@@ -770,13 +740,7 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     }
     break;
   }
-  case Op::CallWaitSend:
-    if (PendingSend < 0)
-      error(Pc, "waits for a send that was never started");
-    PendingSend = -1;
-    break;
-  case Op::CallStartRecv:
-  case Op::CallRecvFused: {
+  case Op::CallRecv: {
     bool LenKnown = Facts.isConst(I.A);
     int64_t Len = LenKnown ? Facts.Value[I.A] : -1;
     bool OffKnown = Facts.isConst(I.B);
@@ -787,20 +751,9 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     else
       checkRegionRange(Pc, /*Input=*/false, OffKnown, Off,
                        LenKnown ? Len : -1, "the receive");
-    if (PendingRecv >= 0)
-      error(Pc, "starts a receive while the receive at pc " +
-                    std::to_string(PendingRecv) +
-                    " is still outstanding (its wait was dropped)");
-    if (I.Code == Op::CallStartRecv)
-      PendingRecv = Pc;
     modelRecv(Pc, LenKnown ? Len : -1);
     break;
   }
-  case Op::CallWaitRecv:
-    if (PendingRecv < 0)
-      error(Pc, "waits for a receive that was never started");
-    PendingRecv = -1;
-    break;
   case Op::CallCopyFromDma: {
     bool OffKnown = Facts.isConst(I.B);
     int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
@@ -834,19 +787,13 @@ VerifyResult Verifier::run() {
 
   walkSpan(0, V.program().size());
 
-  if (!Aborted) {
-    if (PendingSend >= 0)
-      error(PendingSend, "send started here is never awaited");
-    if (PendingRecv >= 0)
-      error(PendingRecv, "receive started here is never awaited");
-    if (HaveModel && !Model.gaveUp()) {
-      if (!Model.atOpcodeBoundary())
-        error(-1, "program ends with the accelerator " +
-                      Model.stateDescription());
-      else if (Model.pendingOutputWords() > 0)
-        warn(-1, std::to_string(Model.pendingOutputWords()) +
-                     " modeled output words are never received");
-    }
+  if (!Aborted && HaveModel && !Model.gaveUp()) {
+    if (!Model.atOpcodeBoundary())
+      error(-1, "program ends with the accelerator " +
+                    Model.stateDescription());
+    else if (Model.pendingOutputWords() > 0)
+      warn(-1, std::to_string(Model.pendingOutputWords()) +
+                   " modeled output words are never received");
   }
   if (R.Errors.size() >= MaxErrors)
     R.Errors.push_back({-1, "(further diagnostics suppressed)"});

@@ -13,7 +13,7 @@
 ///    space, every side-table index (pool, subviews, generics, dma
 ///    configs) in bounds, LoopBegin/LoopEnd well nested with mutually
 ///    consistent jump targets (including the remapped targets the
-///    optimizer writes after fusion and loop flattening);
+///    optimizer writes after loop flattening);
 ///  * definition before use: a read of a slot no path has written is an
 ///    error; a read of a slot defined only inside a possibly zero-trip
 ///    loop is a strict-mode finding;
@@ -22,9 +22,9 @@
 ///  * DMA staging bounds: every staged copy, send and receive whose
 ///    offsets constant-fold is proven inside the active dma_init's
 ///    input/output region; unprovable transfers are strict findings;
-///  * transfer discipline: every dmaStartSend/Recv is awaited before the
-///    next start of the same direction, before its loop body repeats,
-///    and before the program ends;
+///  * transfer discipline holds by construction: a send or receive is
+///    one instruction that starts the transfer and waits for it, and
+///    ExecPlan::compile refuses a start without its wait;
 ///  * protocol conformance (when a ProtocolModel is supplied): the words
 ///    each send streams are replayed against the abstract accelerator
 ///    FSM, so unsupported opcodes, data-before-configuration orderings,

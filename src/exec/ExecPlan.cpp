@@ -62,13 +62,25 @@ struct ExecPlanBuilder {
   LogicalResult compileBlock(Block &TheBlock, std::vector<ExecPlan::Inst> &Out,
                              Operation **Terminator) {
     *Terminator = nullptr;
-    for (Operation *Op : TheBlock.getOperations()) {
+    const Block::OpListType &Ops = TheBlock.getOperations();
+    for (auto It = Ops.begin(); It != Ops.end(); ++It) {
+      Operation *Op = *It;
       if (isTerminator(Op->getName())) {
         *Terminator = Op;
         return success();
       }
-      if (failed(compileOp(Op, Out)))
+      if (Op->getName() != func::CallOp::OpName) {
+        if (failed(compileOp(Op, Out)))
+          return failure();
+        continue;
+      }
+      auto Next = std::next(It);
+      bool TookNext = false;
+      if (failed(compileCall(Op, Next == Ops.end() ? nullptr : *Next,
+                             TookNext, Out)))
         return failure();
+      if (TookNext)
+        It = Next;
     }
     return success();
   }
@@ -76,7 +88,10 @@ struct ExecPlanBuilder {
   LogicalResult compileOp(Operation *Op, std::vector<ExecPlan::Inst> &Out);
   LogicalResult compileGeneric(Operation *Op,
                                std::vector<ExecPlan::Inst> &Out);
-  LogicalResult compileCall(Operation *Op, std::vector<ExecPlan::Inst> &Out);
+  /// Compiles the runtime call \p Op. A transfer start takes \p Next, the
+  /// wait that must follow it, along (\p TookNext).
+  LogicalResult compileCall(Operation *Op, Operation *Next, bool &TookNext,
+                            std::vector<ExecPlan::Inst> &Out);
 };
 
 } // namespace exec
@@ -236,12 +251,10 @@ LogicalResult ExecPlanBuilder::compileOp(Operation *Op,
   }
 
   //===--------------------------------------------------------------------===//
-  // linalg / runtime calls
+  // linalg (runtime calls are compiled by compileBlock)
   //===--------------------------------------------------------------------===//
   if (Name == linalg::GenericOp::OpName)
     return compileGeneric(Op, Out);
-  if (Name == func::CallOp::OpName)
-    return compileCall(Op, Out);
 
   return fail(unsupportedOpError(Name));
 }
@@ -292,12 +305,14 @@ ExecPlanBuilder::compileGeneric(Operation *Op,
   return success();
 }
 
-LogicalResult ExecPlanBuilder::compileCall(Operation *Op,
+LogicalResult ExecPlanBuilder::compileCall(Operation *Op, Operation *Next,
+                                           bool &TookNext,
                                            std::vector<ExecPlan::Inst> &Out) {
   using PlanOp = ExecPlan::Op;
   namespace rt = transforms::rtcall;
   const std::string Callee = func::CallOp(Op).getCallee();
   ExecPlan::Inst I;
+  TookNext = false;
 
   if (Callee == rt::DmaInit) {
     I.Code = PlanOp::CallDmaInit;
@@ -313,18 +328,23 @@ LogicalResult ExecPlanBuilder::compileCall(Operation *Op,
     I.A = slot(Op->getOperand(0));
     I.B = slot(Op->getOperand(1));
     I.Dst = slot(Op->getResult(0));
-  } else if (Callee == rt::StartSend) {
-    I.Code = PlanOp::CallStartSend;
+  } else if (Callee == rt::StartSend || Callee == rt::StartRecv) {
+    // The driver is blocking: every start is immediately followed by its
+    // wait, and the pair is one instruction.
+    bool Send = Callee == rt::StartSend;
+    const std::string Wait = Send ? rt::WaitSend : rt::WaitRecv;
+    if (!Next || Next->getName() != func::CallOp::OpName ||
+        func::CallOp(Next).getCallee() != Wait)
+      return fail("runtime call '" + Callee +
+                  "' is not immediately followed by '" + Wait + "'");
+    I.Code = Send ? PlanOp::CallSend : PlanOp::CallRecv;
     I.A = slot(Op->getOperand(0));
     I.B = slot(Op->getOperand(1));
-  } else if (Callee == rt::WaitSend) {
-    I.Code = PlanOp::CallWaitSend;
-  } else if (Callee == rt::StartRecv) {
-    I.Code = PlanOp::CallStartRecv;
-    I.A = slot(Op->getOperand(0));
-    I.B = slot(Op->getOperand(1));
-  } else if (Callee == rt::WaitRecv) {
-    I.Code = PlanOp::CallWaitRecv;
+    TookNext = true;
+  } else if (Callee == rt::WaitSend || Callee == rt::WaitRecv) {
+    return fail("runtime call '" + Callee + "' does not follow its '" +
+                (Callee == rt::WaitSend ? rt::StartSend : rt::StartRecv) +
+                "'");
   } else if (Callee == rt::CopyFromDma) {
     I.Code = PlanOp::CallCopyFromDma;
     I.A = slot(Op->getOperand(0));
@@ -337,46 +357,8 @@ LogicalResult ExecPlanBuilder::compileCall(Operation *Op,
   return success();
 }
 
-/// Peephole over the flat program: an axirt start_send immediately
-/// followed by its wait_send (the only shape convert-accel-to-runtime
-/// emits for the blocking driver) collapses into one fused instruction;
-/// likewise for recv. Loop PC targets are remapped; a deleted wait is
-/// never a jump target (it always sits right after its start, which a
-/// LoopBegin/LoopEnd boundary would separate).
-void ExecPlan::fuseTransferPairs(std::vector<ExecPlan::Inst> &Program,
-                                 unsigned &FusedSends, unsigned &FusedRecvs) {
-  std::vector<int32_t> NewIndex(Program.size() + 1, 0);
-  std::vector<ExecPlan::Inst> Out;
-  Out.reserve(Program.size());
-  for (size_t Pc = 0; Pc < Program.size(); ++Pc) {
-    NewIndex[Pc] = static_cast<int32_t>(Out.size());
-    ExecPlan::Inst I = Program[Pc];
-    bool FuseSend = I.Code == Op::CallStartSend &&
-                    Pc + 1 < Program.size() &&
-                    Program[Pc + 1].Code == Op::CallWaitSend;
-    bool FuseRecv = I.Code == Op::CallStartRecv &&
-                    Pc + 1 < Program.size() &&
-                    Program[Pc + 1].Code == Op::CallWaitRecv;
-    if (FuseSend || FuseRecv) {
-      I.Code = FuseSend ? Op::CallSendFused : Op::CallRecvFused;
-      (FuseSend ? FusedSends : FusedRecvs) += 1;
-      Out.push_back(I);
-      NewIndex[Pc + 1] = static_cast<int32_t>(Out.size());
-      ++Pc; // the wait is absorbed
-      continue;
-    }
-    Out.push_back(I);
-  }
-  NewIndex[Program.size()] = static_cast<int32_t>(Out.size());
-  for (ExecPlan::Inst &I : Out)
-    if (I.Code == Op::LoopBegin || I.Code == Op::LoopEnd)
-      I.Aux = NewIndex[I.Aux];
-  Program = std::move(Out);
-}
-
 std::unique_ptr<ExecPlan> ExecPlan::compile(func::FuncOp Func,
-                                            std::string &Error,
-                                            bool FuseTransferPairs) {
+                                            std::string &Error) {
   std::unique_ptr<ExecPlan> Plan(new ExecPlan());
   ExecPlanBuilder Builder(*Plan);
   Plan->FuncName = Func.getFuncName();
@@ -391,8 +373,6 @@ std::unique_ptr<ExecPlan> ExecPlan::compile(func::FuncOp Func,
                                   : Builder.Error;
     return nullptr;
   }
-  if (FuseTransferPairs)
-    fuseTransferPairs(Plan->Program, Plan->FusedSends, Plan->FusedRecvs);
   return Plan;
 }
 
@@ -531,27 +511,15 @@ void ExecPlan::printInst(std::ostream &OS, const Inst &I,
     OS << '%' << I.Dst << " = copy_literal_to_dma %" << I.A << " @ %"
        << I.B;
     break;
-  case Op::CallStartSend:
-    OS << "start_send end=%" << I.A << " off=%" << I.B;
+  case Op::CallSend:
+    OS << "send end=%" << I.A << " off=%" << I.B;
     break;
-  case Op::CallWaitSend:
-    OS << "wait_send";
-    break;
-  case Op::CallStartRecv:
-    OS << "start_recv len=%" << I.A << " off=%" << I.B;
-    break;
-  case Op::CallWaitRecv:
-    OS << "wait_recv";
+  case Op::CallRecv:
+    OS << "recv len=%" << I.A << " off=%" << I.B;
     break;
   case Op::CallCopyFromDma:
     OS << "copy_from_dma %" << I.A << " @ %" << I.B
        << (I.Sub ? " accumulate" : "");
-    break;
-  case Op::CallSendFused:
-    OS << "send end=%" << I.A << " off=%" << I.B;
-    break;
-  case Op::CallRecvFused:
-    OS << "recv len=%" << I.A << " off=%" << I.B;
     break;
   }
 }
@@ -784,13 +752,9 @@ LogicalResult ExecPlan::runSpan(const std::vector<Inst> &Code,
     case Op::CallDmaInit:
     case Op::CallCopyToDma:
     case Op::CallCopyLiteralToDma:
-    case Op::CallStartSend:
-    case Op::CallWaitSend:
-    case Op::CallStartRecv:
-    case Op::CallWaitRecv:
-    case Op::CallCopyFromDma:
-    case Op::CallSendFused:
-    case Op::CallRecvFused: {
+    case Op::CallSend:
+    case Op::CallRecv:
+    case Op::CallCopyFromDma: {
       if (!S.Runtime)
         return S.fail("runtime call executed without a DMA runtime");
       runtime::DmaRuntime &Rt = *S.Runtime;
@@ -813,27 +777,14 @@ LogicalResult ExecPlan::runSpan(const std::vector<Inst> &Code,
         C.I = End;
         break;
       }
-      case Op::CallStartSend:
-        Rt.dmaStartSend(S.Cells[I.A].I - S.Cells[I.B].I, S.Cells[I.B].I);
-        break;
-      case Op::CallWaitSend:
-        Rt.dmaWaitSendCompletion();
-        break;
-      case Op::CallStartRecv:
-        Rt.dmaStartRecv(S.Cells[I.A].I, S.Cells[I.B].I);
-        break;
-      case Op::CallWaitRecv:
-        Rt.dmaWaitRecvCompletion();
-        break;
-      case Op::CallSendFused:
-        // One dispatch for the blocking start+wait pair; the runtime calls
-        // (and thus every perf charge) are unchanged and in order. Like
-        // the walker, a failed start is never waited for.
+      case Op::CallSend:
+        // The walker's start and wait calls, in order; like the walker,
+        // a failed start is never waited for.
         Rt.dmaStartSend(S.Cells[I.A].I - S.Cells[I.B].I, S.Cells[I.B].I);
         if (Rt.status() == sim::AccelStatus::Ok)
           Rt.dmaWaitSendCompletion();
         break;
-      case Op::CallRecvFused:
+      case Op::CallRecv:
         Rt.dmaStartRecv(S.Cells[I.A].I, S.Cells[I.B].I);
         if (Rt.status() == sim::AccelStatus::Ok)
           Rt.dmaWaitRecvCompletion();

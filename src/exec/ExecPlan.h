@@ -73,16 +73,13 @@ std::string unsupportedOpError(const std::string &OpName);
 class ExecPlan {
 public:
   /// Compiles \p Func. Returns nullptr and sets \p Error on unsupported
-  /// IR (same diagnostics the walker would produce). With
-  /// \p FuseTransferPairs (the default), adjacent axirt
-  /// start_send+wait_send / start_recv+wait_recv instruction pairs — the
-  /// shape convert-accel-to-runtime always emits for the blocking driver —
-  /// are fused into single opcodes, halving dispatch on the DMA-heavy
-  /// sequences. Fusion charges the exact same perf events in the same
-  /// order; the toggle exists for the fused-vs-unfused micro-benchmarks.
+  /// IR (same diagnostics the walker would produce). Each axirt
+  /// start_send/start_recv compiles together with the wait that must
+  /// immediately follow it (the blocking driver's only shape, which
+  /// convert-accel-to-runtime always emits) into one send/recv
+  /// instruction; a start without that wait is refused.
   static std::unique_ptr<ExecPlan> compile(func::FuncOp Func,
-                                           std::string &Error,
-                                           bool FuseTransferPairs = true);
+                                           std::string &Error);
 
   /// Executes the plan against \p Soc, binding \p Arguments to the
   /// function's memref parameters. \p Runtime may be null for CPU-only
@@ -95,9 +92,6 @@ public:
   unsigned numSlots() const { return NumSlots; }
   unsigned numArguments() const { return NumArgs; }
   const std::string &funcName() const { return FuncName; }
-  /// Number of start+wait pairs fused at compile time.
-  unsigned numFusedSends() const { return FusedSends; }
-  unsigned numFusedRecvs() const { return FusedRecvs; }
 
   /// Prints a stable textual disassembly of the program (one instruction
   /// per line, slots as %N, loop targets as @PC). Golden tests pin this
@@ -137,16 +131,11 @@ private:
     CallDmaInit,
     CallCopyToDma,
     CallCopyLiteralToDma,
-    CallStartSend,
-    CallWaitSend,
-    CallStartRecv,
-    CallWaitRecv,
+    /// A blocking transfer: the runtime's start and wait calls, in order.
+    CallSend,
+    CallRecv,
     CallCopyFromDma,
-    /// Fused start_send+wait_send / start_recv+wait_recv pairs (one
-    /// dispatch, identical perf charges in identical order).
-    CallSendFused,
-    CallRecvFused,
-    LastOp = CallRecvFused,
+    LastOp = CallCopyFromDma,
   };
 
   /// How an instruction uses one of its slot fields.
@@ -160,7 +149,6 @@ private:
     Stage,     ///< Writes input-region words.
     Send,      ///< Streams an input-region range to the accelerator.
     Recv,      ///< Receives accelerator words into the output region.
-    Wait,      ///< Completes an outstanding send or receive.
     ReadBack,  ///< Copies output-region words into host memory.
     Init,      ///< dma_init: reconfigures and clears both regions.
   };
@@ -178,7 +166,7 @@ private:
   /// per-opcode code.
   struct OpInfo {
     Op Code;
-    char Name[20];       ///< Diagnostic name ("send_fused", ...); not
+    char Name[20];       ///< Diagnostic name ("send", ...); not
                          ///< the mnemonic ExecPlan::print spells.
     OperandUse Reads[3]; ///< The A, B and C fields, in that order.
     SlotUse Defines;     ///< What Dst receives (None: no result).
@@ -234,30 +222,18 @@ private:
        {{SlotUse::Scalar, "the staged literal"},
         {SlotUse::Scalar, "the staging offset"}},
        SlotUse::Scalar, true, RegionEffect::Stage},
-      {Op::CallStartSend, "send",
+      {Op::CallSend, "send",
        {{SlotUse::Scalar, "the send end offset"},
         {SlotUse::Scalar, "the send begin offset"}},
        SlotUse::None, true, RegionEffect::Send},
-      {Op::CallWaitSend, "wait_send", {}, SlotUse::None, true,
-       RegionEffect::Wait},
-      {Op::CallStartRecv, "recv",
+      {Op::CallRecv, "recv",
        {{SlotUse::Scalar, "the receive length"},
         {SlotUse::Scalar, "the receive offset"}},
        SlotUse::None, true, RegionEffect::Recv},
-      {Op::CallWaitRecv, "wait_recv", {}, SlotUse::None, true,
-       RegionEffect::Wait},
       {Op::CallCopyFromDma, "copy_from_dma",
        {{SlotUse::MemRef, "the read-back destination"},
         {SlotUse::Scalar, "the region offset"}},
        SlotUse::None, true, RegionEffect::ReadBack},
-      {Op::CallSendFused, "send_fused",
-       {{SlotUse::Scalar, "the send end offset"},
-        {SlotUse::Scalar, "the send begin offset"}},
-       SlotUse::None, true, RegionEffect::Send},
-      {Op::CallRecvFused, "recv_fused",
-       {{SlotUse::Scalar, "the receive length"},
-        {SlotUse::Scalar, "the receive offset"}},
-       SlotUse::None, true, RegionEffect::Recv},
   };
   static_assert(std::size(OpTable) == static_cast<size_t>(Op::LastOp) + 1,
                 "one OpTable row per opcode");
@@ -347,16 +323,12 @@ private:
   /// Binary-op mnemonic for Inst::Sub ("add", "mul", ...).
   static const char *binName(uint8_t Sub);
 
-  static void fuseTransferPairs(std::vector<Inst> &Program,
-                                unsigned &FusedSends, unsigned &FusedRecvs);
   LogicalResult runSpan(const std::vector<Inst> &Code, ExecState &S) const;
   LogicalResult runGeneric(const GenericPlan &G, ExecState &S) const;
 
   std::string FuncName;
   unsigned NumArgs = 0;
   unsigned NumSlots = 0;
-  unsigned FusedSends = 0;
-  unsigned FusedRecvs = 0;
   std::vector<Inst> Program;
   std::vector<int32_t> SlotPool;
   std::vector<AllocPlan> Allocs;

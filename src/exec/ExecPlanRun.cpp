@@ -176,13 +176,9 @@ struct DecodedProgram {
     CallDmaInit,
     CallCopyToDma,
     CallCopyLiteralToDma,
-    CallStartSend,
-    CallWaitSend,
-    CallStartRecv,
-    CallWaitRecv,
+    CallSend,
+    CallRecv,
     CallCopyFromDma,
-    CallSendFused,
-    CallRecvFused,
     /// linalg.generic bodies bound to specialized micro-kernels.
     GenericMulAdd,
     GenericCopy,
@@ -305,8 +301,8 @@ static_assert(static_cast<uint8_t>(DecodedProgram::PlanOp::ConstInt) ==
 static_assert(static_cast<uint8_t>(DecodedProgram::PlanOp::Generic) ==
                   static_cast<uint8_t>(DOp::Generic),
               "DOp must begin with ExecPlan's opcodes");
-static_assert(static_cast<uint8_t>(DecodedProgram::PlanOp::CallRecvFused) ==
-                  static_cast<uint8_t>(DOp::CallRecvFused),
+static_assert(static_cast<uint8_t>(DecodedProgram::PlanOp::LastOp) ==
+                  static_cast<uint8_t>(DOp::CallCopyFromDma),
               "DOp must begin with ExecPlan's opcodes");
 
 //===----------------------------------------------------------------------===//
@@ -533,13 +529,9 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
       &&H_CallDmaInit,
       &&H_CallCopyToDma,
       &&H_CallCopyLiteralToDma,
-      &&H_CallStartSend,
-      &&H_CallWaitSend,
-      &&H_CallStartRecv,
-      &&H_CallWaitRecv,
+      &&H_CallSend,
+      &&H_CallRecv,
       &&H_CallCopyFromDma,
-      &&H_CallSendFused,
-      &&H_CallRecvFused,
       &&H_GenericMulAdd,
       &&H_GenericCopy,
       &&H_GenericEltwise,
@@ -749,33 +741,21 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     ++Ip;
     DISPATCH();
   }
-  H_CallStartSend: {
+  H_CallSend: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaStartSend(Cells[Ip->A].I - Cells[Ip->B].I, Cells[Ip->B].I);
-    RT_STATUS_CHECK(*S.Runtime);
-    ++Ip;
-    DISPATCH();
-  }
-  H_CallWaitSend: {
-    if (!S.Runtime)
-      return S.fail("runtime call executed without a DMA runtime");
+    RT_STATUS_CHECK(*S.Runtime); // a failed start is never waited for
     S.Runtime->dmaWaitSendCompletion();
     RT_STATUS_CHECK(*S.Runtime);
     ++Ip;
     DISPATCH();
   }
-  H_CallStartRecv: {
+  H_CallRecv: {
     if (!S.Runtime)
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaStartRecv(Cells[Ip->A].I, Cells[Ip->B].I);
     RT_STATUS_CHECK(*S.Runtime);
-    ++Ip;
-    DISPATCH();
-  }
-  H_CallWaitRecv: {
-    if (!S.Runtime)
-      return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->dmaWaitRecvCompletion();
     RT_STATUS_CHECK(*S.Runtime);
     ++Ip;
@@ -786,26 +766,6 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
       return S.fail("runtime call executed without a DMA runtime");
     S.Runtime->copyFromDmaRegion(Cells[Ip->A].M, Cells[Ip->B].I,
                                  Ip->Sub != 0);
-    RT_STATUS_CHECK(*S.Runtime);
-    ++Ip;
-    DISPATCH();
-  }
-  H_CallSendFused: {
-    if (!S.Runtime)
-      return S.fail("runtime call executed without a DMA runtime");
-    S.Runtime->dmaStartSend(Cells[Ip->A].I - Cells[Ip->B].I, Cells[Ip->B].I);
-    RT_STATUS_CHECK(*S.Runtime); // a failed start is never waited for
-    S.Runtime->dmaWaitSendCompletion();
-    RT_STATUS_CHECK(*S.Runtime);
-    ++Ip;
-    DISPATCH();
-  }
-  H_CallRecvFused: {
-    if (!S.Runtime)
-      return S.fail("runtime call executed without a DMA runtime");
-    S.Runtime->dmaStartRecv(Cells[Ip->A].I, Cells[Ip->B].I);
-    RT_STATUS_CHECK(*S.Runtime);
-    S.Runtime->dmaWaitRecvCompletion();
     RT_STATUS_CHECK(*S.Runtime);
     ++Ip;
     DISPATCH();

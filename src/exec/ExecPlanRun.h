@@ -61,7 +61,8 @@ public:
   ~DecodedPlan();
 
   /// Executes via the threaded dispatch loop. Same contract (arguments,
-  /// diagnostics, perf charges) as ExecPlan::run.
+  /// diagnostics, perf charges, also on a run that fails at a transfer)
+  /// as ExecPlan::run.
   LogicalResult run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
                     const std::vector<runtime::MemRefDesc> &Arguments,
                     std::string &Error) const;

@@ -749,7 +749,7 @@ private:
     // Re-analyze: flattening turned IVs into constants, which is exactly
     // what exposes constant send ranges for merging.
     Analysis A = analyze(Tree);
-    if (mergePreconditions(Tree, A)) {
+    if (sendsFreshIn(Tree, nullptr, A)) {
       int64_t Capacity = analysis::inputRegionWords(View(Plan));
       if (Capacity > 0 && mergeSendsIn(Tree, A, Capacity))
         Changed = true;
@@ -789,6 +789,13 @@ private:
     return Changed;
   }
 
+  struct BodyContext {
+    std::vector<Node> *Body;
+    size_t LoopIdx; // index of the loop node within *Body
+    const BodyContext *Parent;
+    const std::vector<Range> *LoopWrites; // const writes inside the loop
+  };
+
   /// Global soundness precondition for merging: every send must stream
   /// only freshly staged words. Then relocating one send's staging
   /// behind another's range can never surface stale region content to a
@@ -797,32 +804,6 @@ private:
   /// where hoisted staging lands) until the range is covered; writes
   /// contributed from outside a loop must be disjoint from every write
   /// inside it so iterations beyond the first see the same bytes.
-  bool mergePreconditions(std::vector<Node> &Tree, const Analysis &A) {
-    bool Ok = true;
-    walkInsts(Tree, [&](const Node &Nd) {
-      if (Nd.IsLoop || !Ok)
-        return;
-      switch (Nd.I.Code) {
-      case POp::CallStartSend: // unfused plan: stay out of its way
-      case POp::CallWaitSend:
-        Ok = false;
-        return;
-      default:
-        break;
-      }
-    });
-    if (!Ok)
-      return false;
-    return sendsFreshIn(Tree, nullptr, A);
-  }
-
-  struct BodyContext {
-    std::vector<Node> *Body;
-    size_t LoopIdx; // index of the loop node within *Body
-    const BodyContext *Parent;
-    const std::vector<Range> *LoopWrites; // const writes inside the loop
-  };
-
   bool sendsFreshIn(std::vector<Node> &Body, const BodyContext *Ctx,
                     const Analysis &A) {
     for (size_t Idx = 0; Idx < Body.size(); ++Idx) {
@@ -848,7 +829,7 @@ private:
           return false;
         continue;
       }
-      if (Nd.I.Code != POp::CallSendFused)
+      if (Nd.I.Code != POp::CallSend)
         continue;
       Range S;
       if (!analysis::sendRange(Nd.I, A, S))
@@ -902,7 +883,7 @@ private:
     }
   }
 
-  /// Merges adjacent fused sends separated only by the second send's
+  /// Merges adjacent sends separated only by the second send's
   /// constant-range staging (plus region-blind pure/host instructions).
   /// The second group's staged words are relocated to start right behind
   /// the first send's range, producing one burst that streams the exact
@@ -919,7 +900,7 @@ private:
           while (Restart) {
             Restart = false;
             for (size_t I1 = 0; I1 < Body.size(); ++I1) {
-              if (Body[I1].IsLoop || Body[I1].I.Code != POp::CallSendFused)
+              if (Body[I1].IsLoop || Body[I1].I.Code != POp::CallSend)
                 continue;
               if (tryMergeAt(Body, I1, A, Capacity)) {
                 Changed = true;
@@ -948,7 +929,7 @@ private:
       if (Nd.IsLoop)
         return false;
       const Inst &I = Nd.I;
-      if (I.Code == POp::CallSendFused) {
+      if (I.Code == POp::CallSend) {
         I2 = J;
         FoundSecond = true;
         break;

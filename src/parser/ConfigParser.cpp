@@ -359,17 +359,20 @@ static LogicalResult parseFaultEvent(const json::Value &EventValue,
                            "' needs a non-negative integer 'at' index");
   Event.At = static_cast<uint64_t>(At->asInt());
 
-  int64_t Attempts = EventValue.getInt("attempts", 1);
-  if (Attempts < 1)
-    return fail(Error, "fault event 'attempts' must be >= 1");
-  Event.Attempts = static_cast<uint32_t>(Attempts);
-  Event.WordIndex = static_cast<uint32_t>(EventValue.getInt("word", 0));
-  Event.XorMask = static_cast<uint32_t>(EventValue.getInt("xor", 1));
-  if (Event.XorMask == 0)
-    return fail(Error, "fault event 'xor' mask must be non-zero");
+  // Value rules (attempts >= 1, ...) are sim::checkFaultPlan's, applied
+  // to the whole schedule; here each value only has to fit its field.
+  std::string NarrowError;
+  if (failed(sim::narrowFaultCount("attempts", EventValue.getInt("attempts", 1),
+                                   Event.Attempts, NarrowError)) ||
+      failed(sim::narrowFaultCount("word", EventValue.getInt("word", 0),
+                                   Event.WordIndex, NarrowError)) ||
+      failed(sim::narrowFaultCount("xor", EventValue.getInt("xor", 1),
+                                   Event.XorMask, NarrowError)))
+    return fail(Error, NarrowError);
   int64_t Steps = EventValue.getInt("steps", 128);
-  if (Steps < 1)
-    return fail(Error, "fault event 'steps' must be >= 1");
+  if (Steps < 0)
+    return fail(Error, "'steps' (" + std::to_string(Steps) +
+                           ") must not be negative");
   Event.Steps = static_cast<uint64_t>(Steps);
   return success();
 }
@@ -408,10 +411,13 @@ static LogicalResult parseFaults(const json::Value &Root, SystemConfig &Config,
   int64_t Watchdog = Faults->getInt("watchdog", Policy.WatchdogPolls);
   int64_t Backoff = Faults->getInt("backoff", Policy.BackoffCycles);
   int64_t Poll = Faults->getInt("poll", Policy.PollCycles);
-  if (Retries < 0 || Watchdog < 1 || Backoff < 0 || Poll < 1)
-    return fail(Error, "'faults' policy fields out of range (retries/backoff "
-                       ">= 0, watchdog/poll >= 1)");
-  Policy.MaxRetries = static_cast<uint32_t>(Retries);
+  if (Retries < 0 || Watchdog < 0 || Backoff < 0 || Poll < 0)
+    return fail(Error, "'faults' policy fields out of range (retries, "
+                       "watchdog, backoff and poll must not be negative)");
+  std::string NarrowError;
+  if (failed(sim::narrowFaultCount("faults.retries", Retries,
+                                   Policy.MaxRetries, NarrowError)))
+    return fail(Error, NarrowError);
   Policy.WatchdogPolls = static_cast<uint64_t>(Watchdog);
   Policy.BackoffCycles = static_cast<uint64_t>(Backoff);
   Policy.PollCycles = static_cast<uint64_t>(Poll);
@@ -421,25 +427,6 @@ static LogicalResult parseFaults(const json::Value &Root, SystemConfig &Config,
     return fail(Error, "'faults.spares' must be >= 0");
   Config.SpareAccelerators = static_cast<unsigned>(Spares);
 
-  // Two explicit events with the same kind-domain and index would race
-  // for the same logical slot: the second can only fire on retries of the
-  // first, which is never what a schedule author means. Diagnose instead
-  // of silently accepting (the generated `random` schedule is exempt — it
-  // models environmental noise and is appended after this check).
-  for (size_t I = 0; I < Config.Faults.Events.size(); ++I) {
-    for (size_t J = I + 1; J < Config.Faults.Events.size(); ++J) {
-      const sim::FaultEvent &A = Config.Faults.Events[I];
-      const sim::FaultEvent &B = Config.Faults.Events[J];
-      if (A.At == B.At && sim::isDmaFault(A.Kind) == sim::isDmaFault(B.Kind))
-        return fail(Error,
-                    "'faults.events' entries " + std::to_string(I) + " and " +
-                        std::to_string(J) + " both target " +
-                        (sim::isDmaFault(A.Kind) ? "send" : "opcode") +
-                        " index " + std::to_string(A.At) +
-                        " (merge them or use 'attempts')");
-    }
-  }
-
   // Optional deterministic random schedule appended to the explicit events.
   if (const json::Value *Random = Faults->get("random")) {
     if (!Random->isObject())
@@ -448,13 +435,23 @@ static LogicalResult parseFaults(const json::Value &Root, SystemConfig &Config,
     int64_t Max = Random->getInt("max", 64);
     if (Count < 1 || Max < 1)
       return fail(Error, "'faults.random' count and max must be >= 1");
-    sim::FaultPlan Generated = sim::makeRandomFaultPlan(
-        static_cast<uint32_t>(Random->getInt("seed", 0)),
-        static_cast<unsigned>(Count), static_cast<uint64_t>(Max));
+    uint32_t Seed = 0, Count32 = 0;
+    if (failed(sim::narrowFaultCount("faults.random.seed",
+                                     Random->getInt("seed", 0), Seed,
+                                     NarrowError)) ||
+        failed(sim::narrowFaultCount("faults.random.count", Count, Count32,
+                                     NarrowError)))
+      return fail(Error, NarrowError);
+    sim::FaultPlan Generated =
+        sim::makeRandomFaultPlan(Seed, Count32, static_cast<uint64_t>(Max));
     Config.Faults.Events.insert(Config.Faults.Events.end(),
                                 Generated.Events.begin(),
                                 Generated.Events.end());
   }
+
+  std::string RuleError;
+  if (failed(sim::checkFaultPlan(Config.Faults, RuleError)))
+    return fail(Error, "in 'faults': " + RuleError);
   return success();
 }
 

@@ -7,6 +7,7 @@
 #include "sim/FaultInjector.h"
 
 #include <charconv>
+#include <limits>
 #include <random>
 
 using namespace axi4mlir;
@@ -93,15 +94,68 @@ FaultPlan sim::makeRandomFaultPlan(uint32_t Seed, unsigned Count,
     Event.Steps = StepsDist(Rng);
     Event.WordIndex = WordDist(Rng);
     Event.XorMask = 1u << (WordDist(Rng) & 31);
+    Event.Random = true;
     Plan.Events.push_back(Event);
   }
   return Plan;
 }
 
+LogicalResult sim::narrowFaultCount(const std::string &Key, int64_t Value,
+                                    uint32_t &Out, std::string &Error) {
+  if (Value < 0) {
+    Error = "'" + Key + "' (" + std::to_string(Value) +
+            ") must not be negative";
+    return failure();
+  }
+  if (Value > std::numeric_limits<uint32_t>::max()) {
+    Error = "'" + Key + "' (" + std::to_string(Value) +
+            ") does not fit in 32 bits";
+    return failure();
+  }
+  Out = static_cast<uint32_t>(Value);
+  return success();
+}
+
+/// "3 (stall@2)": an event's position in the plan and its spec.
+static std::string eventName(size_t Index, const FaultEvent &Event) {
+  return std::to_string(Index) + " (" + toString(Event.Kind) + "@" +
+         std::to_string(Event.At) + ")";
+}
+
+LogicalResult sim::checkFaultPlan(const FaultPlan &Plan, std::string &Error) {
+  auto Fail = [&](std::string Message) {
+    Error = std::move(Message);
+    return failure();
+  };
+  for (size_t I = 0; I < Plan.Events.size(); ++I) {
+    const FaultEvent &A = Plan.Events[I];
+    const char *Broken = A.Attempts < 1   ? "'attempts' must be >= 1"
+                         : A.Steps < 1    ? "'steps' must be >= 1"
+                         : A.XorMask == 0 ? "'xor' mask must be non-zero"
+                                          : nullptr;
+    if (Broken)
+      return Fail("fault event " + eventName(I, A) + ": " + Broken);
+    for (size_t J = I + 1; J < Plan.Events.size() && !A.Random; ++J) {
+      const FaultEvent &B = Plan.Events[J];
+      if (!B.Random && A.At == B.At && isDmaFault(A.Kind) == isDmaFault(B.Kind))
+        return Fail("fault events " + eventName(I, A) + " and " +
+                    eventName(J, B) + " both target " +
+                    (isDmaFault(A.Kind) ? "send" : "opcode") + " index " +
+                    std::to_string(A.At) + " (merge them or use 'attempts')");
+    }
+  }
+  if (Plan.Recovery.WatchdogPolls < 1)
+    return Fail("'watchdog' must be >= 1");
+  if (Plan.Recovery.PollCycles < 1)
+    return Fail("'poll' must be >= 1");
+  return success();
+}
+
 namespace {
 
-bool parseUInt(const std::string &Text, uint64_t &Value) {
-  if (Text.empty())
+/// A non-negative decimal that fits int64_t.
+bool parseCount(const std::string &Text, int64_t &Value) {
+  if (Text.empty() || Text[0] == '-')
     return false;
   auto [Ptr, Ec] = std::from_chars(Text.data(), Text.data() + Text.size(),
                                    Value);
@@ -129,6 +183,13 @@ LogicalResult sim::parseFaultSpec(const std::string &Spec, FaultPlan &Plan,
     Error = "--faults: " + Message;
     return failure();
   };
+  // Stores a parsed count in a 32-bit field without wrapping.
+  auto Narrow = [&](const std::string &Key, int64_t Value, uint32_t &Out) {
+    std::string NarrowError;
+    if (succeeded(narrowFaultCount(Key, Value, Out, NarrowError)))
+      return success();
+    return Fail(NarrowError);
+  };
   for (const std::string &Entry : split(Spec, ',')) {
     if (Entry.empty())
       continue;
@@ -141,44 +202,51 @@ LogicalResult sim::parseFaultSpec(const std::string &Spec, FaultPlan &Plan,
     size_t At = Entry.find('@');
     if (At == std::string::npos && Eq != std::string::npos) {
       std::string Key = Entry.substr(0, Eq);
-      uint64_t Value = 0;
+      int64_t Value = 0;
       if (Key == "rand") {
         // rand=SEED:n=COUNT[:max=M]
         std::vector<std::string> Parts = split(Entry, ':');
-        uint64_t Seed = 0, Count = 0, Max = 64;
-        if (!parseUInt(Parts[0].substr(Eq + 1), Seed))
+        int64_t Max = 64;
+        uint32_t Seed = 0, Count = 0;
+        if (!parseCount(Parts[0].substr(Eq + 1), Value))
           return Fail("bad seed in '" + Entry + "'");
+        if (failed(Narrow("rand", Value, Seed)))
+          return failure();
         for (size_t I = 1; I < Parts.size(); ++I) {
           size_t E = Parts[I].find('=');
           if (E == std::string::npos)
             return Fail("expected key=value in '" + Entry + "'");
           std::string K = Parts[I].substr(0, E);
-          uint64_t V = 0;
-          if (!parseUInt(Parts[I].substr(E + 1), V))
+          int64_t V = 0;
+          if (!parseCount(Parts[I].substr(E + 1), V))
             return Fail("bad number in '" + Entry + "'");
-          if (K == "n")
-            Count = V;
-          else if (K == "max")
+          if (K == "n") {
+            if (failed(Narrow("n", V, Count)))
+              return failure();
+          } else if (K == "max") {
             Max = V;
-          else
+          } else {
             return Fail("unknown key '" + K + "' in '" + Entry + "'");
+          }
         }
-        FaultPlan Random = makeRandomFaultPlan(
-            static_cast<uint32_t>(Seed), static_cast<unsigned>(Count), Max);
+        FaultPlan Random =
+            makeRandomFaultPlan(Seed, Count, static_cast<uint64_t>(Max));
         Plan.Events.insert(Plan.Events.end(), Random.Events.begin(),
                            Random.Events.end());
         continue;
       }
-      if (!parseUInt(Entry.substr(Eq + 1), Value))
+      if (!parseCount(Entry.substr(Eq + 1), Value))
         return Fail("bad number in '" + Entry + "'");
-      if (Key == "retries")
-        Plan.Recovery.MaxRetries = static_cast<uint32_t>(Value);
-      else if (Key == "watchdog")
-        Plan.Recovery.WatchdogPolls = Value;
-      else if (Key == "backoff")
-        Plan.Recovery.BackoffCycles = Value;
-      else
+      if (Key == "retries") {
+        if (failed(Narrow(Key, Value, Plan.Recovery.MaxRetries)))
+          return failure();
+      } else if (Key == "watchdog") {
+        Plan.Recovery.WatchdogPolls = static_cast<uint64_t>(Value);
+      } else if (Key == "backoff") {
+        Plan.Recovery.BackoffCycles = static_cast<uint64_t>(Value);
+      } else {
         return Fail("unknown policy key '" + Key + "'");
+      }
       continue;
     }
     // Event entries: kind@INDEX[:key=value...]
@@ -199,27 +267,35 @@ LogicalResult sim::parseFaultSpec(const std::string &Spec, FaultPlan &Plan,
       Event.Kind = FaultKind::Stall;
     else
       return Fail("unknown fault kind '" + Kind + "'");
-    if (!parseUInt(Parts[0].substr(At + 1), Event.At))
+    int64_t Index = 0;
+    if (!parseCount(Parts[0].substr(At + 1), Index))
       return Fail("bad index in '" + Entry + "'");
+    Event.At = static_cast<uint64_t>(Index);
     Event.Steps = 128; // default stall length: past the default watchdog
     for (size_t I = 1; I < Parts.size(); ++I) {
       size_t E = Parts[I].find('=');
       if (E == std::string::npos)
         return Fail("expected key=value in '" + Entry + "'");
       std::string K = Parts[I].substr(0, E);
-      uint64_t V = 0;
-      if (!parseUInt(Parts[I].substr(E + 1), V))
+      int64_t V = 0;
+      if (!parseCount(Parts[I].substr(E + 1), V))
         return Fail("bad number in '" + Entry + "'");
-      if (K == "word")
-        Event.WordIndex = static_cast<uint32_t>(V);
-      else if (K == "attempts")
-        Event.Attempts = static_cast<uint32_t>(V);
-      else if (K == "steps")
-        Event.Steps = V;
-      else
+      if (K == "word") {
+        if (failed(Narrow(K, V, Event.WordIndex)))
+          return failure();
+      } else if (K == "attempts") {
+        if (failed(Narrow(K, V, Event.Attempts)))
+          return failure();
+      } else if (K == "steps") {
+        Event.Steps = static_cast<uint64_t>(V);
+      } else {
         return Fail("unknown key '" + K + "' in '" + Entry + "'");
+      }
     }
     Plan.Events.push_back(Event);
   }
+  std::string RuleError;
+  if (failed(checkFaultPlan(Plan, RuleError)))
+    return Fail(RuleError);
   return success();
 }

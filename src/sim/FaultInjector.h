@@ -69,6 +69,9 @@ struct FaultEvent {
   uint64_t Steps = 0;
   /// Presentations this event already fired on.
   uint32_t Fired = 0;
+  /// Drawn by makeRandomFaultPlan. A seeded schedule models environmental
+  /// noise, so it may put two events on one index.
+  bool Random = false;
 };
 
 /// Bounds of the self-healing runtime.
@@ -134,8 +137,23 @@ std::string describeFault(const FaultEvent &Event);
 FaultPlan makeRandomFaultPlan(uint32_t Seed, unsigned Count,
                               uint64_t MaxIndex);
 
+/// Stores \p Value in the 32-bit field \p Out, or fails naming \p Key
+/// instead of wrapping. Both schedule front ends parse through it.
+LogicalResult narrowFaultCount(const std::string &Key, int64_t Value,
+                               uint32_t &Out, std::string &Error);
+
+/// The rules every fault schedule obeys, whichever front end built it
+/// (the config file's `faults` section, --faults, or both merged): each
+/// event fires at least once (attempts >= 1), a stall lasts (steps >= 1),
+/// a corruption flips a bit (xor != 0), no two events outside the random
+/// tail target one index in one domain (the second could only fire on
+/// retries of the first), and the watchdog and poll budgets are >= 1.
+/// On failure returns failure and names the event or field in \p Error.
+LogicalResult checkFaultPlan(const FaultPlan &Plan, std::string &Error);
+
 /// Parses the axi4mlir-opt --faults= spec into \p Plan (appending events /
-/// overriding policy fields). Grammar (comma-separated entries):
+/// overriding policy fields), then checks the merged plan. Grammar
+/// (comma-separated entries):
 ///   drop@N | truncate@N | corrupt@N[:word=W] | transient@N[:attempts=A]
 ///   | stall@N:steps=S | rand=SEED:n=COUNT[:max=M]
 ///   | retries=N | watchdog=N | backoff=N | norecover

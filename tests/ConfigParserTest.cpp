@@ -366,6 +366,67 @@ TEST(ConfigParser, RandomScheduleExemptFromDuplicateCheck) {
   EXPECT_EQ(Config->Faults.Events.size(), 9u);
 }
 
+/// Fault counts are stored in 32 bits: a larger value is refused naming
+/// the key instead of wrapping (retries 2^32 used to run with 0 retries).
+TEST(ConfigParser, FaultCountsBeyond32BitsDiagnosed) {
+  auto expectError = [](const std::string &Section,
+                        const std::string &Needle) {
+    std::string Error;
+    EXPECT_TRUE(failed(parseSystemConfig(withFaults(Section), &Error)))
+        << Section;
+    EXPECT_NE(Error.find(Needle), std::string::npos) << Error;
+  };
+  expectError(R"("faults": { "retries": 4294967296 },)",
+              "'faults.retries' (4294967296) does not fit in 32 bits");
+  expectError(R"("faults": { "events": [ { "kind": "drop", "at": 1,
+                                           "attempts": 4294967296 } ] },)",
+              "'attempts' (4294967296) does not fit in 32 bits");
+  expectError(R"("faults": { "events": [ { "kind": "corrupt", "at": 1,
+                                           "word": -1 } ] },)",
+              "'word' (-1) must not be negative");
+  std::string Error;
+  auto Config = parseSystemConfig(
+      withFaults(R"("faults": { "retries": 4294967295 },)"), &Error);
+  ASSERT_TRUE(succeeded(Config)) << Error;
+  EXPECT_EQ(Config->Faults.Recovery.MaxRetries, 4294967295u);
+}
+
+/// --faults obeys the rules of the config file's `faults` section, checked
+/// on the schedule merged from both.
+TEST(ConfigParser, FaultSpecObeysTheSectionRules) {
+  std::string Error;
+  auto Config = parseSystemConfig(withFaults(R"json(
+    "faults": { "events": [ { "kind": "transient", "at": 2 } ] },)json"),
+                                  &Error);
+  ASSERT_TRUE(succeeded(Config)) << Error;
+  auto expectError = [&](const std::string &Spec, const std::string &Needle) {
+    sim::FaultPlan Plan = Config->Faults;
+    std::string SpecError;
+    EXPECT_TRUE(failed(sim::parseFaultSpec(Spec, Plan, SpecError))) << Spec;
+    EXPECT_NE(SpecError.find(Needle), std::string::npos) << SpecError;
+  };
+  expectError("transient@1:attempts=0", "'attempts' must be >= 1");
+  expectError("stall@1:steps=0", "'steps' must be >= 1");
+  expectError("watchdog=0", "'watchdog' must be >= 1");
+  expectError("drop@1,drop@1",
+              "fault events 1 (drop@1) and 2 (drop@1) both target send "
+              "index 1");
+  // A --faults event against a config event.
+  expectError("stall@2", "fault events 0 (transient@2) and 1 (stall@2) both "
+                         "target opcode index 2");
+  expectError("retries=4294967296", "'retries' (4294967296) does not fit in "
+                                    "32 bits");
+  expectError("transient@1:attempts=4294967297",
+              "'attempts' (4294967297) does not fit in 32 bits");
+  // The seeded random tail stays exempt from the duplicate rule, and one
+  // event on each domain's index is fine.
+  sim::FaultPlan Plan = Config->Faults;
+  EXPECT_TRUE(succeeded(
+      sim::parseFaultSpec("drop@2,rand=3:n=8:max=2", Plan, Error)))
+      << Error;
+  EXPECT_EQ(Plan.Events.size(), 10u);
+}
+
 TEST(ConfigParser, SparesBeyondPoolDiagnosed) {
   // withFaults() configures exactly one accelerator; 2 spares can't be
   // honoured as per-primary clones.

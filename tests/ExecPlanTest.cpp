@@ -294,11 +294,9 @@ TEST(ExecPlan, ReusedAcrossRunsWithIdenticalCounters) {
   expectIdenticalReports(Reports[0], Reports[1]);
 }
 
-/// Send/wait fusion: the axirt lowering emits every start_send/start_recv
-/// immediately followed by its wait, so the fused plan must collapse all
-/// of them — and stay observably identical (same output buffer, bit-equal
-/// perf counters) to the unfused plan.
-TEST(ExecPlan, FusesSendWaitPairs) {
+/// Lowers the 16x16x16 v3-8 Ns matmul to the axirt driver, erases the
+/// first call to \p Callee and returns the plan compiler's diagnostic.
+std::string compileWithout(const char *Callee) {
   MLIRContext Context;
   registerAllDialects(Context);
   OpBuilder Builder(&Context);
@@ -306,44 +304,37 @@ TEST(ExecPlan, FusesSendWaitPairs) {
   OwningOpRef Owner(Func.getOperation());
   parser::AcceleratorDesc Accel =
       parseSingleAccelerator(makeMatMulConfigJson(V::V3, 8, "Ns"));
-  ASSERT_TRUE(lowerMatMul(Func, Level::Axirt, Accel));
-
+  if (!lowerMatMul(Func, Level::Axirt, Accel))
+    return "";
+  Operation *Victim = nullptr;
+  Func.getOperation()->walk([&](Operation *Op) {
+    if (!Victim && Op->getName() == func::CallOp::OpName &&
+        func::CallOp(Op).getCallee() == Callee)
+      Victim = Op;
+  });
+  EXPECT_NE(Victim, nullptr) << Callee;
+  if (!Victim)
+    return "";
+  Victim->erase();
   std::string Error;
-  auto Unfused = ExecPlan::compile(Func, Error, /*FuseTransferPairs=*/false);
-  ASSERT_NE(Unfused, nullptr) << Error;
-  auto Fused = ExecPlan::compile(Func, Error);
-  ASSERT_NE(Fused, nullptr) << Error;
+  EXPECT_EQ(ExecPlan::compile(Func, Error), nullptr) << Callee;
+  return Error;
+}
 
-  EXPECT_EQ(Unfused->numFusedSends(), 0u);
-  EXPECT_EQ(Unfused->numFusedRecvs(), 0u);
-  EXPECT_GT(Fused->numFusedSends(), 0u);
-  EXPECT_GT(Fused->numFusedRecvs(), 0u);
-  // Each fused pair removes exactly one instruction.
-  EXPECT_EQ(Fused->numInstructions() + Fused->numFusedSends() +
-                Fused->numFusedRecvs(),
-            Unfused->numInstructions());
-
-  auto Soc = sim::makeMatMulSoC(V::V3, 8);
-  runtime::DmaRuntime Runtime(*Soc);
-  MemRefDesc A = MemRefDesc::alloc({16, 16});
-  MemRefDesc B = MemRefDesc::alloc({16, 16});
-  MemRefDesc C = MemRefDesc::alloc({16, 16});
-  auto runOnce = [&](const ExecPlan &Plan) -> sim::PerfReport {
-    fillRandom(A, 41);
-    fillRandom(B, 42);
-    fillRandom(C, 43);
-    Soc->resetCounters();
-    std::string RunError;
-    EXPECT_TRUE(succeeded(Plan.run(*Soc, &Runtime, {A, B, C}, RunError)))
-        << RunError;
-    return Soc->report();
-  };
-  runOnce(*Unfused); // allocator warm-up (see checkMatMulEquivalence)
-  sim::PerfReport UnfusedReport = runOnce(*Unfused);
-  MemRefDesc UnfusedC = cloneMemRef(C);
-  sim::PerfReport FusedReport = runOnce(*Fused);
-  EXPECT_TRUE(memrefEquals(UnfusedC, C));
-  expectIdenticalReports(UnfusedReport, FusedReport);
+/// A send or receive is one instruction that starts the transfer and
+/// waits for it, so the plan compiler accepts only the blocking driver's
+/// shape: each start immediately followed by its wait.
+TEST(ExecPlan, UnpairedTransferIsRefused) {
+  namespace rt = transforms::rtcall;
+  EXPECT_EQ(compileWithout(rt::WaitSend),
+            "runtime call 'axirt.start_send' is not immediately followed by "
+            "'axirt.wait_send'");
+  EXPECT_EQ(compileWithout(rt::WaitRecv),
+            "runtime call 'axirt.start_recv' is not immediately followed by "
+            "'axirt.wait_recv'");
+  EXPECT_EQ(compileWithout(rt::StartRecv),
+            "runtime call 'axirt.wait_recv' does not follow its "
+            "'axirt.start_recv'");
 }
 
 TEST(ExecPlan, DiagnosticsMatchWalker) {
@@ -562,7 +553,7 @@ TEST(PlanDisassembly, MatMulAfterFold) {
 
 /// Every constant in this driver is read, so dce finds nothing: the
 /// disassembly must be byte-identical to the unoptimized plan. Same for
-/// coalesce — the As-flow v3 driver has no fused-send adjacency or
+/// coalesce — the As-flow v3 driver has no send adjacency or
 /// single-trip loops.
 TEST(PlanDisassembly, MatMulDceAndCoalesceAreNoOps) {
   MLIRContext Context;

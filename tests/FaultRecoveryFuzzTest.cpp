@@ -21,13 +21,20 @@
 /// into CPU fallback, and recovery-disabled error surfacing. A seeded
 /// random sweep (AXI4MLIR_FUZZ_SEED / AXI4MLIR_FUZZ_CASES widen it; CI
 /// runs a fixed seed under ASan+UBSan) composes random workloads with
-/// random fault plans.
+/// random fault plans; each case also runs its plan with recovery
+/// disabled through the walker and the threaded engine, which must stop
+/// alike.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "dialects/InitAllDialects.h"
+#include "exec/AccelConfigs.h"
+#include "exec/Interpreter.h"
 #include "exec/Pipeline.h"
+#include "exec/Reference.h"
 
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -105,6 +112,102 @@ sim::PerfReport checkHeals(MatMulRunConfig Config,
   EXPECT_TRUE(Healed.NumericsMatch);
   expectSameBaseCounters(Clean.Report, Healed.Report, "base counters");
   return Healed.Report;
+}
+
+/// Runs \p Config's driver under \p Faults with recovery disabled through
+/// the walker and the threaded engine, on one SoC and one set of operands
+/// (the cache model keys on host addresses), and expects both to end
+/// alike: the same outcome, the same error text and every PerfReport
+/// field equal. Most plans kill the run at a transfer.
+void checkExecutorsFailAlike(const MatMulRunConfig &Config,
+                             sim::FaultPlan Faults,
+                             const std::string &Label) {
+  SCOPED_TRACE(Label + " recovery disabled");
+  Faults.Recovery.Enabled = false;
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func =
+      buildMatMulFunc(Builder, Config.M, Config.N, Config.K, Config.Kind);
+  OwningOpRef Owner(Func.getOperation());
+  transforms::LoweringOptions Options;
+  Options.EnableCpuTiling = Config.CpuTiling;
+  Options.CacheBytes = Config.Params.L2SizeBytes;
+  Options.Remainder = Config.Remainder;
+  Options.CostParams = Config.Params;
+  std::string Error;
+  ASSERT_TRUE(succeeded(
+      transforms::buildPipeline(
+          parseSingleAccelerator(makeMatMulConfigJson(
+              Config.Version, Config.AccelSize, Config.Flow)),
+          Options)
+          .run(Func, Error)))
+      << Error;
+  std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
+  ASSERT_NE(Plan, nullptr) << Error;
+  std::unique_ptr<DecodedPlan> Decoded = DecodedPlan::decode(*Plan);
+
+  std::optional<sim::FaultInjector> Injector; // outlives the SoC
+  auto Soc = sim::makeMatMulSoC(Config.Version, Config.AccelSize, Config.Kind,
+                                Config.Params);
+  runtime::DmaRuntime Runtime(*Soc, Config.SpecializeCopies);
+  std::vector<runtime::MemRefDesc> Args = {
+      runtime::MemRefDesc::alloc({Config.M, Config.K}, Config.Kind),
+      runtime::MemRefDesc::alloc({Config.K, Config.N}, Config.Kind),
+      runtime::MemRefDesc::alloc({Config.M, Config.N}, Config.Kind)};
+  struct Outcome {
+    bool Ok;
+    std::string Error;
+    sim::PerfReport Report;
+  };
+  auto runOnce = [&](auto Execute) {
+    for (size_t I = 0; I < Args.size(); ++I)
+      fillRandom(Args[I], Config.Seed + static_cast<uint32_t>(I));
+    // A failed run leaves the accelerator mid-opcode and the engine's
+    // status latched; start each run from a clean board.
+    Soc->accelerator()->reset();
+    Injector.emplace(Faults);
+    Soc->attachFaultInjector(&*Injector);
+    Soc->resetCounters();
+    Outcome O;
+    O.Ok = succeeded(Execute(O.Error));
+    O.Report = Soc->report();
+    return O;
+  };
+  auto walker = [&](std::string &RunError) {
+    Interpreter Walker(*Soc, &Runtime, ExecMode::Walker);
+    return Walker.run(Func, Args, RunError);
+  };
+  runOnce(walker); // allocator warm-up
+  Outcome W = runOnce(walker);
+  Outcome T = runOnce([&](std::string &RunError) {
+    return Decoded->run(*Soc, &Runtime, Args, RunError);
+  });
+  EXPECT_EQ(W.Ok, T.Ok);
+  EXPECT_EQ(W.Error, T.Error);
+  const sim::PerfReport &A = W.Report, &B = T.Report;
+  EXPECT_EQ(A.Instructions, B.Instructions);
+  EXPECT_EQ(A.BranchInstructions, B.BranchInstructions);
+  EXPECT_EQ(A.Loads, B.Loads);
+  EXPECT_EQ(A.Stores, B.Stores);
+  EXPECT_EQ(A.L1DAccesses, B.L1DAccesses);
+  EXPECT_EQ(A.CacheReferences, B.CacheReferences);
+  EXPECT_EQ(A.CacheMisses, B.CacheMisses);
+  EXPECT_EQ(A.HostCycles, B.HostCycles);
+  EXPECT_EQ(A.FabricCycles, B.FabricCycles);
+  EXPECT_EQ(A.DmaTransfers, B.DmaTransfers);
+  EXPECT_EQ(A.DmaBytesMoved, B.DmaBytesMoved);
+  EXPECT_EQ(A.TaskClockMs, B.TaskClockMs);
+  EXPECT_EQ(A.FaultsInjected, B.FaultsInjected);
+  EXPECT_EQ(A.RecoveryRetries, B.RecoveryRetries);
+  EXPECT_EQ(A.RecoveryBackoffCycles, B.RecoveryBackoffCycles);
+  EXPECT_EQ(A.WatchdogPollCycles, B.WatchdogPollCycles);
+  EXPECT_EQ(A.RecoveryReplayCycles, B.RecoveryReplayCycles);
+  EXPECT_EQ(A.FailoverEvents, B.FailoverEvents);
+  EXPECT_EQ(A.CpuFallbackEvents, B.CpuFallbackEvents);
+  EXPECT_EQ(A.CpuFallbackCycles, B.CpuFallbackCycles);
+  EXPECT_EQ(A.PlanCacheHits, B.PlanCacheHits);
+  EXPECT_EQ(A.PlanCacheMisses, B.PlanCacheMisses);
 }
 
 sim::FaultEvent event(sim::FaultKind Kind, uint64_t At) {
@@ -379,6 +482,7 @@ TEST(FaultRecovery, RandomSweep) {
     std::ostringstream Label;
     Label << "seed " << Seed << " case " << I << " plan " << PlanSeed;
     checkHeals(Config, Plan, /*Spares=*/1, Label.str());
+    checkExecutorsFailAlike(Config, Plan, Label.str());
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "stopping after first failing case: " << Label.str();
       return;

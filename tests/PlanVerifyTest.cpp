@@ -48,9 +48,8 @@ namespace {
 
 /// Lowers \p Func against \p Accel to the axirt runtime-call level and
 /// compiles the ExecPlan. Returns nullptr (with ADD_FAILURE) on any error.
-std::unique_ptr<ExecPlan> lowerAndCompile(func::FuncOp Func,
-                                          const parser::AcceleratorDesc &Accel,
-                                          bool FuseTransferPairs = true) {
+std::unique_ptr<ExecPlan>
+lowerAndCompile(func::FuncOp Func, const parser::AcceleratorDesc &Accel) {
   std::string Error;
   transforms::LoweringOptions Options;
   Options.EnableCpuTiling = false;
@@ -61,7 +60,7 @@ std::unique_ptr<ExecPlan> lowerAndCompile(func::FuncOp Func,
     ADD_FAILURE() << "lowering failed: " << Error;
     return nullptr;
   }
-  auto Plan = ExecPlan::compile(Func, Error, FuseTransferPairs);
+  auto Plan = ExecPlan::compile(Func, Error);
   if (!Plan)
     ADD_FAILURE() << "plan compilation failed: " << Error;
   return Plan;
@@ -71,7 +70,6 @@ std::unique_ptr<ExecPlan> lowerAndCompile(func::FuncOp Func,
 /// level against a v3 8-tile accelerator, and compiles the ExecPlan the
 /// tests then corrupt. Returns nullptr (with ADD_FAILURE) on any error.
 std::unique_ptr<ExecPlan> compilePlan(parser::AcceleratorDesc &AccelOut,
-                                      bool FuseTransferPairs = true,
                                       const std::string &Flow = "Ns") {
   MLIRContext Context;
   registerAllDialects(Context);
@@ -80,7 +78,7 @@ std::unique_ptr<ExecPlan> compilePlan(parser::AcceleratorDesc &AccelOut,
       buildMatMulFunc(Builder, 16, 16, 16, sim::ElemKind::I32);
   OwningOpRef Owner(Func.getOperation());
   AccelOut = parseSingleAccelerator(makeMatMulConfigJson(V::V3, 8, Flow));
-  return lowerAndCompile(Func, AccelOut, FuseTransferPairs);
+  return lowerAndCompile(Func, AccelOut);
 }
 
 /// The v3 8-tile driver of an 18x10x14 matmul: its pad remainders stage
@@ -181,14 +179,6 @@ TEST(PlanVerify, CleanPlanVerifiesAtEveryStage) {
   EXPECT_TRUE(Optimized.Errors.empty()) << Optimized.toString();
 }
 
-TEST(PlanVerify, UnfusedPlanVerifiesClean) {
-  parser::AcceleratorDesc Accel;
-  auto Plan = compilePlan(Accel, /*FuseTransferPairs=*/false);
-  ASSERT_TRUE(Plan);
-  analysis::VerifyResult Result = analysis::verifyPlan(*Plan);
-  EXPECT_TRUE(Result.Errors.empty()) << Result.toString();
-}
-
 //===----------------------------------------------------------------------===//
 // Mutation classes (each must be rejected with a pc-level diagnostic)
 //===----------------------------------------------------------------------===//
@@ -215,26 +205,6 @@ TEST(PlanVerify, StagingCopyOutsideDmaRegionRejected) {
   // copies now provably overflow the region.
   PlanView::mutableDmaConfigs(*Plan)[0].InputBufferSize = 8;
   expectError(analysis::verifyPlan(*Plan), "holds only");
-}
-
-TEST(PlanVerify, DroppedWaitRejected) {
-  parser::AcceleratorDesc Accel;
-  auto Plan = compilePlan(Accel);
-  ASSERT_TRUE(Plan);
-  // Demote the first fused send (start+wait in one dispatch) to a bare
-  // start: its completion is never awaited. Same fields, no pc shifts.
-  int64_t Send = findInst(
-      *Plan, [](const Inst &I) { return I.Code == POp::CallSendFused; });
-  ASSERT_GE(Send, 0) << "expected a fused send in the lowered plan";
-  PlanView::mutableProgram(*Plan)[Send].Code = POp::CallStartSend;
-  analysis::VerifyResult Result = analysis::verifyPlan(*Plan);
-  ASSERT_FALSE(Result.Errors.empty());
-  bool Found = false;
-  for (const analysis::PlanDiag &D : Result.Errors)
-    Found = Found ||
-            D.Message.find("still outstanding") != std::string::npos ||
-            D.Message.find("never awaited") != std::string::npos;
-  EXPECT_TRUE(Found) << Result.toString();
 }
 
 TEST(PlanVerify, CorruptedOpcodeStreamRejected) {
@@ -433,14 +403,14 @@ TEST(PlanVerify, OutOfRangeOperandIsNotFolded) {
   ASSERT_TRUE(Plan);
   int32_t NumSlots = static_cast<int32_t>(PlanView(*Plan).numSlots());
   int64_t Send = findInst(
-      *Plan, [](const Inst &I) { return I.Code == POp::CallSendFused; });
+      *Plan, [](const Inst &I) { return I.Code == POp::CallSend; });
   ASSERT_GE(Send, 0);
   PlanView::mutableProgram(*Plan)[Send].A = NumSlots;
   analysis::VerifyResult Result = analysis::verifyPlan(*Plan);
-  expectError(Result, "(send_fused): reads the send end offset from slot %" +
+  expectError(Result, "(send): reads the send end offset from slot %" +
                           std::to_string(NumSlots) + " outside the plan's " +
                           std::to_string(NumSlots) + " slots");
-  std::string At = "pc " + std::to_string(Send) + " (send_fused): ";
+  std::string At = "pc " + std::to_string(Send) + " (send): ";
   bool Unproven = false;
   for (const analysis::PlanDiag &D : Result.Warnings)
     Unproven = Unproven ||
@@ -479,8 +449,7 @@ TEST(PlanVerify, WindowBeforeFilterRejectedAtTheSend) {
       << Result.toString();
   ASSERT_GE(First.Pc, 0) << First.Message;
   POp Code = PlanView::mutableProgram(*Plan)[First.Pc].Code;
-  EXPECT_TRUE(Code == POp::CallSendFused || Code == POp::CallStartSend)
-      << First.Message;
+  EXPECT_EQ(Code, POp::CallSend) << First.Message;
 }
 
 //===----------------------------------------------------------------------===//

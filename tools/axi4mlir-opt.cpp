@@ -542,7 +542,7 @@ int runTool(CliOptions Options) {
   unsigned Spares = Config->SpareAccelerators;
   if (!Options.FaultSpec.empty()) {
     if (failed(sim::parseFaultSpec(Options.FaultSpec, FaultPlan, Error))) {
-      std::fprintf(stderr, "error: in --faults: %s\n", Error.c_str());
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
     FaultsArmed = true;
