@@ -548,7 +548,6 @@ struct ExecPlan::ExecState {
   sim::SoC &Soc;
   runtime::DmaRuntime *Runtime;
   std::vector<Cell> Cells;
-  std::vector<int64_t> Scratch; ///< Reused subview-offset buffer.
   std::string Error;
 
   ExecState(sim::SoC &Soc, runtime::DmaRuntime *Runtime)
@@ -717,27 +716,23 @@ LogicalResult ExecPlan::runSpan(const std::vector<Inst> &Code,
       break;
     }
     case Op::Copy: {
-      const MemRefDesc &Source = S.Cells[I.A].M;
-      const MemRefDesc &Dest = S.Cells[I.B].M;
-      if (Source.Sizes != Dest.Sizes)
-        return S.fail("memref.copy shape mismatch");
-      runtime::stridedCopy(
-          Perf, runtime::makeCopyRequest(Source, Dest,
-                                         Source.innermostContiguous() &&
-                                             Dest.innermostContiguous()));
+      std::string Error;
+      if (failed(runtime::copyMemRef(Perf, S.Cells[I.A].M, S.Cells[I.B].M,
+                                     Error)))
+        return S.fail(std::move(Error));
       break;
     }
     case Op::SubView: {
       const SubViewPlan &Info = SubViews[I.Aux];
       const MemRefDesc &Source = S.Cells[I.A].M;
-      S.Scratch.clear();
+      assert(Info.NumOffsets == Source.rank() && "subview offset count");
       const int32_t *OffsetSlots = SlotPool.data() + Info.PoolOffset;
-      for (unsigned K = 0; K < Info.NumOffsets; ++K)
-        S.Scratch.push_back(S.Cells[OffsetSlots[K]].I);
       Perf.onArith(2 * Source.rank()); // descriptor arithmetic
       Cell &C = S.Cells[I.Dst];
       C.Tag = Cell::Kind::MemRef;
-      C.M = Source.subview(S.Scratch, Info.StaticSizes);
+      C.M.assignSubview(
+          Source, [&](unsigned D) { return S.Cells[OffsetSlots[D]].I; },
+          Info.StaticSizes);
       break;
     }
     case Op::Generic: {

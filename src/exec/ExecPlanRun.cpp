@@ -251,7 +251,6 @@ struct DecodedProgram {
     sim::SoC &Soc;
     runtime::DmaRuntime *Runtime;
     std::vector<Cell> Cells;
-    std::vector<int64_t> Scratch;
     std::string Error;
 
     RunState(sim::SoC &Soc, runtime::DmaRuntime *Runtime)
@@ -674,28 +673,24 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     DISPATCH();
   }
   H_Copy: {
-    const MemRefDesc &Source = Cells[Ip->A].M;
-    const MemRefDesc &Dest = Cells[Ip->B].M;
-    if (Source.Sizes != Dest.Sizes)
-      return S.fail("memref.copy shape mismatch");
-    runtime::stridedCopy(
-        Perf, runtime::makeCopyRequest(Source, Dest,
-                                       Source.innermostContiguous() &&
-                                           Dest.innermostContiguous()));
+    std::string Error;
+    if (failed(runtime::copyMemRef(Perf, Cells[Ip->A].M, Cells[Ip->B].M,
+                                   Error)))
+      return S.fail(std::move(Error));
     ++Ip;
     DISPATCH();
   }
   H_SubView: {
     const SubViewPlan &Info = *static_cast<const SubViewPlan *>(Ip->Side);
     const MemRefDesc &Source = Cells[Ip->A].M;
-    S.Scratch.clear();
+    assert(Info.NumOffsets == Source.rank() && "subview offset count");
     const int32_t *OffsetSlots = SlotPool.data() + Info.PoolOffset;
-    for (unsigned K = 0; K < Info.NumOffsets; ++K)
-      S.Scratch.push_back(Cells[OffsetSlots[K]].I);
     Perf.onArith(2 * Source.rank()); // descriptor arithmetic
     Cell &C = Cells[Ip->Dst];
     C.Tag = Cell::Kind::MemRef;
-    C.M = Source.subview(S.Scratch, Info.StaticSizes);
+    C.M.assignSubview(
+        Source, [&](unsigned D) { return Cells[OffsetSlots[D]].I; },
+        Info.StaticSizes);
     ++Ip;
     DISPATCH();
   }

@@ -204,27 +204,20 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
     return success();
   }
   if (auto Copy = dyn_cast_op<memref::CopyOp>(Op)) {
-    const MemRefDesc &Source = memrefValue(Copy.getSource());
-    const MemRefDesc &Dest = memrefValue(Copy.getDest());
-    if (Source.Sizes != Dest.Sizes)
-      return fail("memref.copy shape mismatch");
-    // Row-wise memcpy when both sides are contiguous innermost (the
-    // compiler vectorizes the staging copy); scalar sweep otherwise.
-    // Data movement and charging live in the shared strided-copy engine.
-    runtime::stridedCopy(
-        Perf, runtime::makeCopyRequest(Source, Dest,
-                                       Source.innermostContiguous() &&
-                                           Dest.innermostContiguous()));
+    std::string Error;
+    if (failed(runtime::copyMemRef(Perf, memrefValue(Copy.getSource()),
+                                   memrefValue(Copy.getDest()), Error)))
+      return fail(Error);
     return success();
   }
   if (auto SubView = dyn_cast_op<memref::SubViewOp>(Op)) {
     const MemRefDesc &Source = memrefValue(SubView.getSource());
-    std::vector<int64_t> Offsets;
-    for (unsigned I = 1; I < Op->getNumOperands(); ++I)
-      Offsets.push_back(intValue(Op->getOperand(I)));
     Perf.onArith(2 * Source.rank()); // descriptor arithmetic
-    value(Op->getResult(0)) = RuntimeValue::fromMemRef(
-        Source.subview(Offsets, SubView.getStaticSizes()));
+    RuntimeValue &Result = value(Op->getResult(0));
+    Result.Tag = RuntimeValue::Kind::MemRef;
+    Result.MemRef.assignSubview(
+        Source, [&](unsigned I) { return intValue(Op->getOperand(I + 1)); },
+        SubView.getStaticSizes());
     return success();
   }
 

@@ -151,7 +151,10 @@ RunResult exec::runMatMulAxi4mlir(const MatMulRunConfig &Config) {
       return Result;
     Interp.setPlanOptions(OptOptions);
   }
-  if (failed(Interp.run(Func, {Data.A, Data.B, Data.C}, Result.Error)))
+  bool Ran = succeeded(Interp.run(Func, {Data.A, Data.B, Data.C},
+                                   Result.Error));
+  Result.Report = Soc->report();
+  if (!Ran)
     return Result;
 
   Result.Ok = true;
@@ -160,7 +163,6 @@ RunResult exec::runMatMulAxi4mlir(const MatMulRunConfig &Config) {
       validateMatMul(Data.A, Data.B, Data.CInitial, Data.C);
   if (Config.Validate && !Result.NumericsMatch)
     Result.Error = "numerical mismatch against the reference kernel";
-  Result.Report = Soc->report();
   return Result;
 }
 
@@ -177,7 +179,9 @@ RunResult exec::runMatMulManual(const MatMulRunConfig &Config) {
   Manual.TileN = tileOf(Config, 1);
   Manual.TileK = tileOf(Config, 2);
   Manual.Flow = Config.Flow;
-  if (!runManualMatMul(Runtime, Data.A, Data.B, Data.C, Manual)) {
+  bool Ran = runManualMatMul(Runtime, Data.A, Data.B, Data.C, Manual);
+  Result.Report = Soc->report();
+  if (!Ran) {
     Result.Error = "manual driver protocol error: " + Runtime.errorMessage();
     return Result;
   }
@@ -188,7 +192,6 @@ RunResult exec::runMatMulManual(const MatMulRunConfig &Config) {
       validateMatMul(Data.A, Data.B, Data.CInitial, Data.C);
   if (Config.Validate && !Result.NumericsMatch)
     Result.Error = "numerical mismatch against the reference kernel";
-  Result.Report = Soc->report();
   return Result;
 }
 
@@ -207,7 +210,10 @@ RunResult exec::runMatMulCpuOnly(const MatMulRunConfig &Config) {
   auto Soc = sim::makeCpuOnlySoC(Config.Params);
   MatMulData Data = makeMatMulData(Config);
   Interpreter Interp(*Soc, /*Runtime=*/nullptr, Config.Exec);
-  if (failed(Interp.run(Func, {Data.A, Data.B, Data.C}, Result.Error)))
+  bool Ran = succeeded(Interp.run(Func, {Data.A, Data.B, Data.C},
+                                   Result.Error));
+  Result.Report = Soc->report();
+  if (!Ran)
     return Result;
 
   Result.Ok = true;
@@ -216,7 +222,6 @@ RunResult exec::runMatMulCpuOnly(const MatMulRunConfig &Config) {
       validateMatMul(Data.A, Data.B, Data.CInitial, Data.C);
   if (Config.Validate && !Result.NumericsMatch)
     Result.Error = "numerical mismatch against the reference kernel";
-  Result.Report = Soc->report();
   return Result;
 }
 
@@ -304,15 +309,16 @@ RunResult exec::runConvAxi4mlir(const ConvRunConfig &Config) {
       return Result;
     Interp.setPlanOptions(OptOptions);
   }
-  if (failed(Interp.run(Func, {Data.Input, Data.Filter, Data.Output},
-                        Result.Error)))
+  bool Ran = succeeded(Interp.run(
+      Func, {Data.Input, Data.Filter, Data.Output}, Result.Error));
+  Result.Report = Soc->report();
+  if (!Ran)
     return Result;
 
   Result.Ok = true;
   Result.NumericsMatch = !Config.Validate || validateConv(Config, Data);
   if (Config.Validate && !Result.NumericsMatch)
     Result.Error = "numerical mismatch against the reference kernel";
-  Result.Report = Soc->report();
   return Result;
 }
 
@@ -321,8 +327,10 @@ RunResult exec::runConvManual(const ConvRunConfig &Config) {
   auto Soc = sim::makeConvSoC(Config.Kind, Config.Params);
   runtime::DmaRuntime Runtime(*Soc, /*SpecializeCopies=*/true);
   ConvData Data = makeConvData(Config);
-  if (!runManualConv2D(Runtime, Data.Input, Data.Filter, Data.Output,
-                       Config.Stride, Config.Stride)) {
+  bool Ran = runManualConv2D(Runtime, Data.Input, Data.Filter, Data.Output,
+                             Config.Stride, Config.Stride);
+  Result.Report = Soc->report();
+  if (!Ran) {
     Result.Error = "manual driver protocol error: " + Runtime.errorMessage();
     return Result;
   }
@@ -330,6 +338,5 @@ RunResult exec::runConvManual(const ConvRunConfig &Config) {
   Result.NumericsMatch = !Config.Validate || validateConv(Config, Data);
   if (Config.Validate && !Result.NumericsMatch)
     Result.Error = "numerical mismatch against the reference kernel";
-  Result.Report = Soc->report();
   return Result;
 }

@@ -68,6 +68,8 @@ struct RunResult {
   bool Ok = false;
   bool NumericsMatch = false;
   std::string Error;
+  /// The SoC's counters after the run; a failed run reports what it
+  /// charged up to the failure.
   sim::PerfReport Report;
   /// Name of the accelerator the planning layer dispatched to (empty for
   /// manual/CPU runs).

@@ -8,7 +8,6 @@
 
 #include "runtime/StridedCopy.h"
 
-#include <cassert>
 #include <string>
 
 using namespace axi4mlir;
@@ -43,73 +42,93 @@ static bool regionAccessFits(sim::DmaEngine &Dma, bool Input,
   return false;
 }
 
-/// Drops size-1 dimensions from a descriptor: the rank-specialization the
+namespace {
+
+/// A view with its size-1 dimensions dropped: the rank specialization the
 /// paper applies to "known rank sizes" (Sec. IV-B). A [1, iC, 1, 1] conv
 /// window collapses to a rank-1 sweep, saving per-row recursion overhead.
-static MemRefDesc collapseUnitDims(const MemRefDesc &Desc) {
-  MemRefDesc Collapsed;
-  Collapsed.Buffer = Desc.Buffer;
-  Collapsed.Offset = Desc.Offset;
-  for (unsigned I = 0; I < Desc.rank(); ++I) {
-    if (Desc.Sizes[I] == 1)
-      continue;
-    Collapsed.Sizes.push_back(Desc.Sizes[I]);
-    Collapsed.Strides.push_back(Desc.Strides[I]);
+/// Fixed-size, so a staging copy allocates nothing; Rank counts every
+/// non-unit dimension, and only the first MaxCopyRank are kept.
+struct CollapsedView {
+  unsigned Rank = 0;
+  int64_t Sizes[detail::MaxCopyRank] = {};
+  int64_t Strides[detail::MaxCopyRank] = {};
+
+  explicit CollapsedView(const MemRefDesc &Desc) {
+    for (unsigned I = 0; I < Desc.rank(); ++I) {
+      if (Desc.Sizes[I] == 1)
+        continue;
+      if (Rank < detail::MaxCopyRank) {
+        Sizes[Rank] = Desc.Sizes[I];
+        Strides[Rank] = Desc.Strides[I];
+      }
+      ++Rank;
+    }
   }
-  return Collapsed;
-}
 
-/// Rows shorter than this gain nothing from memcpy (call setup dominates);
-/// the generic path handles them — this is why fHW==1 convolution layers
-/// cannot leverage the specialization (paper Sec. IV-D).
-static constexpr int64_t MinProfitableRowElements = 2;
+  /// Rows shorter than MinProfitableRowElements gain nothing from memcpy
+  /// (call setup dominates); the generic path handles them — this is why
+  /// fHW==1 convolution layers cannot leverage the specialization (paper
+  /// Sec. IV-D).
+  static constexpr int64_t MinProfitableRowElements = 2;
 
-static bool rowsAreProfitable(const MemRefDesc &Desc) {
-  return Desc.innermostContiguous() &&
-         (Desc.rank() == 0 ||
-          Desc.Sizes.back() >= MinProfitableRowElements);
-}
+  bool rowsAreProfitable() const {
+    return Rank == 0 || (Strides[Rank - 1] == 1 &&
+                         Sizes[Rank - 1] >= MinProfitableRowElements);
+  }
+};
 
-/// Row-major contiguous strides over \p Sizes: the layout of the DMA
-/// staging regions. Written into \p Strides (MaxCopyRank capacity).
-static void contiguousStrides(const std::vector<int64_t> &Sizes,
-                              int64_t *Strides) {
-  unsigned Rank = Sizes.size();
-  assert(Rank <= detail::MaxCopyRank && "region copy rank beyond cap");
+} // namespace
+
+bool DmaRuntime::stage(bool Input, const char *Call, const MemRefDesc &View,
+                       int64_t OffsetWords, bool Accumulate) {
+  sim::DmaEngine &Dma = Soc.dma();
+  // Diagnosable in every build type (was a Release-stripped assert that
+  // left an out-of-bounds write behind).
+  if (!Dma.isInitialized()) {
+    Dma.signalError(std::string("dma: ") + Call + " before dma_init");
+    return false;
+  }
+  if (!regionAccessFits(Dma, Input, Call, OffsetWords, View.numElements()))
+    return false;
+  CollapsedView Collapsed(View);
+  if (Collapsed.Rank > detail::MaxCopyRank) {
+    Dma.signalError(
+        copyRankError(std::string("dma: ") + Call, Collapsed.Rank));
+    return false;
+  }
+  // The staging regions are row-major contiguous over the collapsed shape.
+  int64_t RegionStrides[detail::MaxCopyRank];
   int64_t Running = 1;
-  for (unsigned I = Rank; I > 0; --I) {
-    Strides[I - 1] = Running;
-    Running *= Sizes[I - 1];
+  for (unsigned I = Collapsed.Rank; I > 0; --I) {
+    RegionStrides[I - 1] = Running;
+    Running *= Collapsed.Sizes[I - 1];
   }
+
+  CopySpan Memory = {View.Buffer->Data.data() + View.Offset,
+                     View.addressOf(View.Offset), Collapsed.Strides};
+  CopySpan Region = {
+      (Input ? Dma.inputRegion() : Dma.outputRegion()) + OffsetWords,
+      regionAddress(Input, OffsetWords), RegionStrides};
+  StridedCopyRequest Req;
+  Req.Rank = Collapsed.Rank;
+  Req.Sizes = Collapsed.Sizes;
+  Req.Src = Input ? Memory : Region;
+  Req.Dst = Input ? Region : Memory;
+  Req.Mode = !Accumulate ? CopyMode::Overwrite
+             : View.kind() == sim::ElemKind::F32 ? CopyMode::AccumulateF32
+                                                 : CopyMode::AccumulateI32;
+  Req.RowMemcpy = SpecializeCopies && Collapsed.rowsAreProfitable();
+  stridedCopy(Soc.perf(), Req);
+  return true;
 }
 
 int64_t DmaRuntime::copyToDmaRegion(const MemRefDesc &Source,
                                     int64_t OffsetWords) {
-  // Diagnosable in every build type (was a Release-stripped assert that
-  // left an out-of-bounds write behind).
-  if (!Soc.dma().isInitialized()) {
-    Soc.dma().signalError("dma: copy_to_dma_region before dma_init");
+  if (!stage(/*Input=*/true, "copy_to_dma_region", Source, OffsetWords,
+             /*Accumulate=*/false))
     return OffsetWords;
-  }
-  int64_t Words = Source.numElements();
-  if (!regionAccessFits(Soc.dma(), /*Input=*/true, "copy_to_dma_region",
-                        OffsetWords, Words))
-    return OffsetWords;
-  MemRefDesc Collapsed = collapseUnitDims(Source);
-  int64_t RegionStrides[detail::MaxCopyRank];
-  contiguousStrides(Collapsed.Sizes, RegionStrides);
-
-  StridedCopyRequest Req;
-  Req.Rank = Collapsed.rank();
-  Req.Sizes = Collapsed.Sizes.data();
-  Req.Src = {Collapsed.Buffer->Data.data() + Collapsed.Offset,
-             Collapsed.addressOf(Collapsed.Offset),
-             Collapsed.Strides.data()};
-  Req.Dst = {Soc.dma().inputRegion() + OffsetWords,
-             regionAddress(/*Input=*/true, OffsetWords), RegionStrides};
-  Req.RowMemcpy = SpecializeCopies && rowsAreProfitable(Collapsed);
-  stridedCopy(Soc.perf(), Req);
-  return OffsetWords + Words;
+  return OffsetWords + Source.numElements();
 }
 
 int64_t DmaRuntime::copyLiteralToDmaRegion(int32_t Literal,
@@ -147,29 +166,8 @@ sim::AccelStatus DmaRuntime::dmaWaitRecvCompletion() {
   return Soc.dma().waitRecvCompletion();
 }
 
-void DmaRuntime::copyFromDmaRegion(const MemRefDesc &OriginalDest,
+void DmaRuntime::copyFromDmaRegion(const MemRefDesc &Dest,
                                    int64_t OffsetWords, bool Accumulate) {
-  if (!Soc.dma().isInitialized()) {
-    Soc.dma().signalError("dma: copy_from_dma_region before dma_init");
-    return;
-  }
-  if (!regionAccessFits(Soc.dma(), /*Input=*/false, "copy_from_dma_region",
-                        OffsetWords, OriginalDest.numElements()))
-    return;
-  MemRefDesc Dest = collapseUnitDims(OriginalDest);
-  int64_t RegionStrides[detail::MaxCopyRank];
-  contiguousStrides(Dest.Sizes, RegionStrides);
-
-  StridedCopyRequest Req;
-  Req.Rank = Dest.rank();
-  Req.Sizes = Dest.Sizes.data();
-  Req.Src = {Soc.dma().outputRegion() + OffsetWords,
-             regionAddress(/*Input=*/false, OffsetWords), RegionStrides};
-  Req.Dst = {Dest.Buffer->Data.data() + Dest.Offset,
-             Dest.addressOf(Dest.Offset), Dest.Strides.data()};
-  Req.Mode = !Accumulate ? CopyMode::Overwrite
-             : Dest.kind() == sim::ElemKind::F32 ? CopyMode::AccumulateF32
-                                                 : CopyMode::AccumulateI32;
-  Req.RowMemcpy = SpecializeCopies && rowsAreProfitable(Dest);
-  stridedCopy(Soc.perf(), Req);
+  stage(/*Input=*/false, "copy_from_dma_region", Dest, OffsetWords,
+        Accumulate);
 }

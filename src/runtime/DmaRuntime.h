@@ -94,7 +94,13 @@ private:
   /// Both staging directions (the unspecialized per-element path of
   /// Fig. 12a and the row-wise memcpy specialization of Fig. 12b) are
   /// driven by the shared engine in runtime/StridedCopy.h; this class only
-  /// picks the policy (unit-dim collapse + row profitability).
+  /// picks the policy (unit-dim collapse + row profitability). Copies
+  /// \p View into the input region (\p Input) or the output region into
+  /// \p View at \p OffsetWords, allocating nothing. A copy that does not
+  /// fit the region, or whose collapsed rank exceeds the odometer cap,
+  /// latches an error on the engine, moves nothing and returns false.
+  bool stage(bool Input, const char *Call, const MemRefDesc &View,
+             int64_t OffsetWords, bool Accumulate);
 
   uint64_t regionAddress(bool Input, int64_t OffsetWords) const;
 

@@ -77,21 +77,41 @@ struct MemRefDesc {
   int64_t numElements() const { return product(Sizes); }
   sim::ElemKind kind() const { return Buffer->Kind; }
 
-  /// A rank-preserving subview at the given offsets with the given sizes
-  /// (relative strides of 1), aliasing this buffer.
+  /// Makes this descriptor the rank-preserving subview of \p Source whose
+  /// origin along dimension D is \p OffsetAt(D) and whose sizes are
+  /// \p SubSizes (relative strides of 1), aliasing Source's buffer. This is
+  /// the one definition of memref.subview; every executor writes the
+  /// result's slot through it. Once Sizes and Strides have the rank's
+  /// capacity it allocates nothing, it touches Buffer's reference count only
+  /// when the buffer changes, and \p Source may be this descriptor.
+  template <typename OffsetFn>
+  void assignSubview(const MemRefDesc &Source, OffsetFn OffsetAt,
+                     const std::vector<int64_t> &SubSizes) {
+    assert(SubSizes.size() == Source.rank() && "subview rank mismatch");
+    int64_t NewOffset = Source.Offset;
+    for (unsigned I = 0; I < Source.rank(); ++I) {
+      int64_t Origin = OffsetAt(I);
+      assert(Origin + SubSizes[I] <= Source.Sizes[I] &&
+             "subview escapes its source memref");
+      NewOffset += Origin * Source.Strides[I];
+    }
+    if (this != &Source) {
+      if (Buffer != Source.Buffer)
+        Buffer = Source.Buffer;
+      Strides.assign(Source.Strides.begin(), Source.Strides.end());
+    }
+    Sizes.assign(SubSizes.begin(), SubSizes.end());
+    Offset = NewOffset;
+  }
+
+  /// assignSubview into a fresh descriptor, for callers holding the
+  /// offsets in a vector.
   MemRefDesc subview(const std::vector<int64_t> &Offsets,
                      const std::vector<int64_t> &SubSizes) const {
-    assert(Offsets.size() == rank() && SubSizes.size() == rank());
+    assert(Offsets.size() == rank() && "subview offset count mismatch");
     MemRefDesc Desc;
-    Desc.Buffer = Buffer;
-    Desc.Offset = Offset;
-    for (unsigned I = 0; I < rank(); ++I) {
-      assert(Offsets[I] + SubSizes[I] <= Sizes[I] &&
-             "subview escapes its source memref");
-      Desc.Offset += Offsets[I] * Strides[I];
-    }
-    Desc.Sizes = SubSizes;
-    Desc.Strides = Strides;
+    Desc.assignSubview(
+        *this, [&](unsigned I) { return Offsets[I]; }, SubSizes);
     return Desc;
   }
 

@@ -34,10 +34,12 @@
 #include "runtime/MemRefDesc.h"
 #include "sim/AcceleratorModel.h"
 #include "sim/PerfModel.h"
+#include "support/LogicalResult.h"
 
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 namespace axi4mlir {
 namespace runtime {
@@ -68,8 +70,9 @@ struct StridedCopyRequest {
 namespace detail {
 
 /// Upper bound on iteration-space rank for the fixed-size odometers here
-/// and in ExecPlan's generic kernels. Callers compiling IR reject deeper
-/// nests with a diagnostic (ExecPlan::compile); raw requests are asserted.
+/// and in ExecPlan's generic kernels. Deeper copies are refused with
+/// copyRankError (copyMemRef, DmaRuntime's staging copies) and deeper
+/// linalg.generic nests by ExecPlan::compile; raw requests are asserted.
 inline constexpr unsigned MaxCopyRank = 16;
 
 /// Sum over d of prod(Sizes[0..d]) for d in [0, Dims): the number of
@@ -116,6 +119,14 @@ inline StridedCopyRequest makeCopyRequest(const MemRefDesc &Source,
   Req.Mode = Mode;
   Req.RowMemcpy = RowMemcpy;
   return Req;
+}
+
+/// The one diagnostic for a copy whose iteration space is deeper than
+/// detail::MaxCopyRank: \p What names the copy (an op or a runtime call).
+inline std::string copyRankError(const std::string &What, unsigned Rank) {
+  return What + " of rank " + std::to_string(Rank) +
+         " exceeds the supported copy rank (" +
+         std::to_string(detail::MaxCopyRank) + ")";
 }
 
 /// Executes \p Req, charging \p Perf as documented above.
@@ -253,6 +264,27 @@ inline void stridedCopy(sim::HostPerfModel &Perf,
     if (OuterDims == 0)
       return;
   }
+}
+
+/// memref.copy as every executor runs it: equal shapes, a rank within
+/// the odometer cap, then a row-wise memcpy when both sides are contiguous
+/// innermost (the compiler vectorizes the copy) and a scalar sweep
+/// otherwise. On failure \p Error holds the diagnostic and nothing moved.
+inline LogicalResult copyMemRef(sim::HostPerfModel &Perf,
+                                const MemRefDesc &Source,
+                                const MemRefDesc &Dest, std::string &Error) {
+  if (Source.Sizes != Dest.Sizes) {
+    Error = "memref.copy shape mismatch";
+    return failure();
+  }
+  if (Source.rank() > detail::MaxCopyRank) {
+    Error = copyRankError("memref.copy", Source.rank());
+    return failure();
+  }
+  stridedCopy(Perf, makeCopyRequest(Source, Dest,
+                                    Source.innermostContiguous() &&
+                                        Dest.innermostContiguous()));
+  return success();
 }
 
 } // namespace runtime

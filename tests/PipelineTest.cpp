@@ -219,4 +219,24 @@ TEST(Pipeline, SpecializationOnlyChangesPerformance) {
             Fast.Report.BranchInstructions);
 }
 
+TEST(Pipeline, FailedRunReportsItsCounters) {
+  // A corrupted word with recovery off kills the run at its first send;
+  // the report still carries what the run charged before that.
+  MatMulRunConfig Config = makeConfig(16, Version::V3, 8, "Ns");
+  std::string Error;
+  ASSERT_TRUE(succeeded(
+      sim::parseFaultSpec("corrupt@1:word=0,norecover", Config.Faults, Error)))
+      << Error;
+  for (ExecMode Mode : {ExecMode::Walker, ExecMode::Threaded}) {
+    SCOPED_TRACE(toString(Mode));
+    Config.Exec = Mode;
+    RunResult Result = runMatMulAxi4mlir(Config);
+    EXPECT_FALSE(Result.Ok);
+    EXPECT_NE(Result.Error.find("corrupt-word"), std::string::npos)
+        << Result.Error;
+    EXPECT_GE(Result.Report.FaultsInjected, 1u);
+    EXPECT_GT(Result.Report.Instructions, 0u);
+  }
+}
+
 } // namespace

@@ -8,6 +8,8 @@
 #include "runtime/DmaRuntime.h"
 #include "runtime/StridedCopy.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 using namespace axi4mlir;
@@ -258,6 +260,57 @@ TEST(DmaRuntime, StagingCopiesPastTheRegionAreRefused) {
             "dma: copy_from_dma_region of 16 word(s) at offset 0 exceeds the "
             "output staging region (8 words)");
   EXPECT_TRUE(exec::memrefEquals(Tile, Dest));
+}
+
+/// Staging copies collapse unit dimensions into a fixed-size view of at
+/// most detail::MaxCopyRank dimensions. A view with more non-unit
+/// dimensions is refused with the shared copy-rank diagnostic and moves
+/// nothing (its region strides used to be written past a stack array);
+/// one with exactly that many still copies.
+TEST(DmaRuntime, StagingCopiesBeyondTheRankCapAreRefused) {
+  // 20 dimensions of which 3 are unit: 17 remain after the collapse.
+  std::vector<int64_t> Shape;
+  for (unsigned D = 0; D < 20; ++D)
+    Shape.push_back(D % 7 == 1 ? 1 : 2);
+  MemRefDesc Deep = MemRefDesc::alloc(Shape);
+  exec::fillRandom(Deep, 5);
+  accel::DmaInitConfig Big;
+  Big.InputBufferSize = Big.OutputBufferSize = Deep.numElements() * 4;
+  auto regionIsZero = [](const uint32_t *Region, int64_t Words) {
+    return std::all_of(Region, Region + Words,
+                       [](uint32_t Word) { return Word == 0; });
+  };
+
+  auto Soc = makeBoard();
+  DmaRuntime Rt(*Soc);
+  Rt.dmaInit(Big);
+  EXPECT_EQ(Rt.copyToDmaRegion(Deep, 0), 0);
+  EXPECT_EQ(Rt.status(), AccelStatus::Fatal);
+  EXPECT_EQ(Rt.errorMessage(), "dma: copy_to_dma_region of rank 17 exceeds "
+                               "the supported copy rank (16)");
+  EXPECT_TRUE(regionIsZero(Soc->dma().inputRegion(), Deep.numElements()));
+
+  auto Fresh = makeBoard();
+  DmaRuntime FreshRt(*Fresh);
+  FreshRt.dmaInit(Big);
+  MemRefDesc Dest = exec::cloneMemRef(Deep);
+  FreshRt.copyFromDmaRegion(Dest, 0, /*Accumulate=*/true);
+  EXPECT_EQ(FreshRt.errorMessage(), "dma: copy_from_dma_region of rank 17 "
+                                    "exceeds the supported copy rank (16)");
+  EXPECT_TRUE(exec::memrefEquals(Deep, Dest));
+
+  // One more unit dimension leaves 16: the copy runs, row-major.
+  Shape[0] = 1;
+  MemRefDesc AtCap = MemRefDesc::alloc(Shape);
+  exec::fillRandom(AtCap, 6);
+  auto Board = makeBoard();
+  DmaRuntime AtCapRt(*Board);
+  AtCapRt.dmaInit(Big);
+  EXPECT_EQ(AtCapRt.copyToDmaRegion(AtCap, 0), AtCap.numElements());
+  EXPECT_EQ(AtCapRt.status(), AccelStatus::Ok);
+  EXPECT_TRUE(std::equal(AtCap.Buffer->Data.begin(),
+                         AtCap.Buffer->Data.end(),
+                         Board->dma().inputRegion()));
 }
 
 TEST(DmaRuntime, EndToEndSendComputeRecv) {
