@@ -7,12 +7,15 @@
 /// \file
 /// Wall-clock microbenchmarks (google-benchmark) of the simulator-side
 /// primitives: staging copies (generic vs specialized), the cache
-/// simulator, and the accelerator state machines. These measure the
-/// reproduction's own performance, complementing the modeled task-clock
-/// numbers of the figure benches.
+/// simulator, the accelerator state machines, the executors and the
+/// static plan verifier. These measure the reproduction's own
+/// performance, complementing the modeled task-clock numbers of the
+/// figure benches.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/PlanVerifier.h"
+#include "analysis/ProtocolModel.h"
 #include "dialects/InitAllDialects.h"
 #include "exec/AccelConfigs.h"
 #include "exec/ExecPlan.h"
@@ -479,6 +482,38 @@ void BM_ExecPlanCompile(benchmark::State &State) {
     benchmark::DoNotOptimize(exec::ExecPlan::compile(Func, Error));
 }
 
+/// Static verification of a 3x3 conv driver (6x6 input plane, 8 output
+/// channels, range(0) input channels) with the accelerator's protocol
+/// model: every staged window (9 * range(0) words) is replayed against the
+/// model. The cost should follow the plan's size, not the window's.
+void BM_VerifyPlanConv(benchmark::State &State) {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func = exec::buildConvFunc(Builder, 1, State.range(0), 6, 8,
+                                          3, 1, ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  parser::AcceleratorDesc Accel =
+      exec::parseSingleAccelerator(exec::makeConvConfigJson());
+  std::string Error;
+  transforms::LoweringOptions Options;
+  Options.EnableCpuTiling = false;
+  if (failed(transforms::buildPipeline(Accel, Options).run(Func, Error))) {
+    State.SkipWithError(Error.c_str());
+    return;
+  }
+  auto Plan = exec::ExecPlan::compile(Func, Error);
+  auto Model = analysis::ProtocolModel::forAccelerator(Accel, Error);
+  if (!Plan || failed(Model)) {
+    State.SkipWithError(Error.c_str());
+    return;
+  }
+  analysis::VerifyOptions Verify;
+  Verify.Model = &*Model;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(analysis::verifyPlan(*Plan, Verify));
+}
+
 } // namespace
 
 BENCHMARK(BM_CopyToDmaGeneric)->Arg(8)->Arg(16)->Arg(64);
@@ -498,5 +533,6 @@ BENCHMARK(BM_ExecPlanAxirtPlanOptNone)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtOptimized)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtThreaded)->Arg(64);
 BENCHMARK(BM_ExecPlanCompile)->Arg(32);
+BENCHMARK(BM_VerifyPlanConv)->Arg(64)->Arg(512);
 
 BENCHMARK_MAIN();

@@ -7,6 +7,7 @@
 #include "analysis/PlanAnalyses.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace axi4mlir;
 using namespace axi4mlir::analysis;
@@ -28,6 +29,106 @@ bool WordRange::coveredBy(const std::vector<WordRange> &Parts) const {
     }
   }
   return Pos >= End;
+}
+
+namespace {
+bool sameWord(const AbstractWord &A, const AbstractWord &B) {
+  return A.K == B.K && (A.K != AbstractWord::Kind::Const || A.Value == B.Value);
+}
+
+/// Extends \p Into over \p Next when Next continues it with an equal
+/// word: the one rule that keeps adjacent runs distinct.
+bool extendRun(StagedRegion::Run &Into, const StagedRegion::Run &Next) {
+  if (Into.Range.End != Next.Range.Begin || !sameWord(Into.Word, Next.Word))
+    return false;
+  Into.Range.End = Next.Range.End;
+  return true;
+}
+
+/// True when [Offset, Offset + Count) ends inside int64 (Count >= 0).
+bool endFits(int64_t Offset, int64_t Count) {
+  return Offset <= 0 || Count <= std::numeric_limits<int64_t>::max() - Offset;
+}
+} // namespace
+
+size_t StagedRegion::firstEndingAfter(int64_t Offset) const {
+  auto EndsBefore = [&](const Run &R) { return R.Range.End <= Offset; };
+  return static_cast<size_t>(
+      std::partition_point(Runs.begin(), Runs.end(), EndsBefore) -
+      Runs.begin());
+}
+
+const AbstractWord *StagedRegion::find(int64_t Offset) const {
+  size_t I = firstEndingAfter(Offset);
+  if (I < Runs.size() && Runs[I].Range.Begin <= Offset)
+    return &Runs[I].Word;
+  return nullptr;
+}
+
+void StagedRegion::assign(WordRange R, const AbstractWord &W) {
+  if (R.Begin >= R.End)
+    return;
+  // Runs [Lo, Hi) overlap R; their parts outside R survive around it.
+  size_t Lo = firstEndingAfter(R.Begin), Hi = Lo;
+  while (Hi < Runs.size() && Runs[Hi].Range.Begin < R.End)
+    ++Hi;
+  Run Pieces[3];
+  size_t N = 0;
+  if (Lo < Hi && Runs[Lo].Range.Begin < R.Begin)
+    Pieces[N++] = {{Runs[Lo].Range.Begin, R.Begin}, Runs[Lo].Word};
+  Pieces[N++] = {R, W};
+  if (Lo < Hi && Runs[Hi - 1].Range.End > R.End)
+    Pieces[N++] = {{R.End, Runs[Hi - 1].Range.End}, Runs[Hi - 1].Word};
+  auto At = Runs.begin() + static_cast<ptrdiff_t>(Lo);
+  if (N > Hi - Lo)
+    Runs.insert(At, N - (Hi - Lo), Run());
+  else
+    Runs.erase(At, At + static_cast<ptrdiff_t>(Hi - Lo - N));
+  std::copy(Pieces, Pieces + N, Runs.begin() + static_cast<ptrdiff_t>(Lo));
+
+  // Merge equal neighbours across the spliced pieces and their two sides.
+  size_t Out = Lo > 0 ? Lo - 1 : Lo;
+  size_t Last = std::min(Lo + N + 1, Runs.size());
+  for (size_t I = Out + 1; I < Last; ++I)
+    if (!extendRun(Runs[Out], Runs[I]))
+      Runs[++Out] = Runs[I];
+  Runs.erase(Runs.begin() + static_cast<ptrdiff_t>(Out + 1),
+             Runs.begin() + static_cast<ptrdiff_t>(Last));
+}
+
+void StagedRegion::mergeUnknown(const StagedRegion &Other) {
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  const std::vector<Run> &A = Runs, &B = Other.Runs;
+  std::vector<Run> Out;
+  size_t I = 0, J = 0;
+  int64_t Pos = std::numeric_limits<int64_t>::min();
+  // Sweep both lists together: between two consecutive run boundaries of
+  // either list, each side holds one word or none.
+  while (true) {
+    while (I < A.size() && A[I].Range.End <= Pos)
+      ++I;
+    while (J < B.size() && B[J].Range.End <= Pos)
+      ++J;
+    const Run *RA = I < A.size() ? &A[I] : nullptr;
+    const Run *RB = J < B.size() ? &B[J] : nullptr;
+    if (!RA && !RB)
+      break;
+    int64_t Begin = std::max(Pos, std::min(RA ? RA->Range.Begin : Max,
+                                           RB ? RB->Range.Begin : Max));
+    bool InA = RA && RA->Range.Begin <= Begin;
+    bool InB = RB && RB->Range.Begin <= Begin;
+    int64_t End =
+        std::min(RA ? (InA ? RA->Range.End : RA->Range.Begin) : Max,
+                 RB ? (InB ? RB->Range.End : RB->Range.Begin) : Max);
+    Run Merged = {{Begin, End},
+                  InA && InB && sameWord(RA->Word, RB->Word)
+                      ? RA->Word
+                      : AbstractWord::unknown()};
+    if (Out.empty() || !extendRun(Out.back(), Merged))
+      Out.push_back(Merged);
+    Pos = End;
+  }
+  Runs = std::move(Out);
 }
 
 bool analysis::evalConstDst(const Inst &I, const SlotFacts &Facts,
@@ -95,24 +196,28 @@ int64_t analysis::constTripCount(const Inst &LoopBegin,
     return -1;
   if (Lb >= Ub)
     return 0;
-  return (Ub - Lb + Step - 1) / Step;
+  // Ub - Lb and the rounding can exceed int64; count in uint64.
+  uint64_t Span = static_cast<uint64_t>(Ub) - static_cast<uint64_t>(Lb);
+  uint64_t S = static_cast<uint64_t>(Step);
+  uint64_t Trip = Span / S + (Span % S != 0);
+  if (Trip > static_cast<uint64_t>(std::numeric_limits<int64_t>::max()))
+    return -1;
+  return static_cast<int64_t>(Trip);
 }
 
 bool analysis::inputWriteRange(const Inst &I, const SlotFacts &Facts,
                                WordRange &R) {
-  if (I.Code == Op::CallCopyLiteralToDma) {
-    if (!Facts.isConst(I.B))
-      return false;
-    R = {Facts.Value[I.B], Facts.Value[I.B] + 1};
-    return true;
-  }
-  if (I.Code == Op::CallCopyToDma) {
-    if (!Facts.isConst(I.B) || !Facts.isSized(I.A))
-      return false;
-    R = {Facts.Value[I.B], Facts.Value[I.B] + Facts.Count[I.A]};
-    return true;
-  }
-  return false;
+  int64_t Count;
+  if (I.Code == Op::CallCopyLiteralToDma)
+    Count = 1;
+  else if (I.Code == Op::CallCopyToDma && Facts.isSized(I.A))
+    Count = Facts.Count[I.A];
+  else
+    return false;
+  if (!Facts.isConst(I.B) || !endFits(Facts.Value[I.B], Count))
+    return false;
+  R = {Facts.Value[I.B], Facts.Value[I.B] + Count};
+  return true;
 }
 
 bool analysis::sendRange(const Inst &I, const SlotFacts &Facts,

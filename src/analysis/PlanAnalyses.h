@@ -14,7 +14,11 @@
 /// mutation tests.
 ///
 /// All arithmetic mirrors ExecPlan::runSpan exactly (Binary computes in
-/// double and truncates back to int64, like the tree walker).
+/// double and truncates back to int64, like the tree walker). Range ends
+/// and trip counts that do not fit in int64 are not constants.
+///
+/// StagedRegion, the verifier's record of what the plan staged into the
+/// DMA input region, lives here too so tests can drive it directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +26,9 @@
 #define AXI4MLIR_ANALYSIS_PLANANALYSES_H
 
 #include "analysis/PlanView.h"
+#include "analysis/ProtocolModel.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +47,65 @@ struct WordRange {
   int64_t size() const { return End - Begin; }
   /// True when the union of \p Parts covers this range.
   bool coveredBy(const std::vector<WordRange> &Parts) const;
+};
+
+/// What the verifier knows of the DMA input region between a dma_init and
+/// the sends that stream it: a sorted vector of disjoint runs of equal
+/// words, adjacent runs holding equal words merged. A staging copy writes
+/// one run and a literal a one-word run, so the size follows the staging
+/// instructions, not the words they stage. A word no run covers was never
+/// staged.
+class StagedRegion {
+public:
+  struct Run {
+    WordRange Range;
+    AbstractWord Word;
+  };
+
+  void clear() { Runs.clear(); }
+  /// Stages \p W at every word of \p R (nothing when \p R is empty).
+  void assign(WordRange R, const AbstractWord &W);
+  /// Merges the state of a path that skipped a loop: a word both sides
+  /// hold equally keeps it, every other word either side holds becomes
+  /// unknown.
+  void mergeUnknown(const StagedRegion &Other);
+  /// The word staged at \p Offset, or null when none was.
+  const AbstractWord *find(int64_t Offset) const;
+  const std::vector<Run> &runs() const { return Runs; }
+
+  /// Walks \p R in the order a send streams it: one `Data(Count)` call
+  /// per maximal run of data words, one `Word(Offset, W)` call per other
+  /// word, \p W null for a word never staged. Stops as soon as a callback
+  /// returns false.
+  template <typename DataFn, typename WordFn>
+  void stream(WordRange R, DataFn &&Data, WordFn &&Word) const {
+    int64_t O = R.Begin;
+    for (size_t I = firstEndingAfter(O); O < R.End;) {
+      bool Staged = I < Runs.size() && Runs[I].Range.Begin <= O;
+      int64_t End = std::min(Staged                ? Runs[I].Range.End
+                             : I < Runs.size() ? Runs[I].Range.Begin
+                                               : R.End,
+                             R.End);
+      const AbstractWord *W = Staged ? &Runs[I].Word : nullptr;
+      if (W && W->K == AbstractWord::Kind::Data) {
+        if (!Data(End - O))
+          return;
+        O = End;
+      } else {
+        for (; O < End; ++O)
+          if (!Word(O, W))
+            return;
+      }
+      if (Staged)
+        ++I;
+    }
+  }
+
+private:
+  /// Index of the first run that ends after \p Offset.
+  size_t firstEndingAfter(int64_t Offset) const;
+
+  std::vector<Run> Runs;
 };
 
 /// Per-slot facts: constant values (ints only) and static memref element
@@ -82,13 +147,15 @@ bool evalConstDst(const PlanView::Inst &I, const SlotFacts &Facts,
                   int64_t &Out);
 
 /// Constant trip count of a LoopBegin instruction, or -1 when any bound
-/// is unknown or the step is non-positive (runSpan rejects those at
-/// execution time).
+/// is unknown, the step is non-positive (runSpan rejects those at
+/// execution time) or the count does not fit in int64.
 int64_t constTripCount(const PlanView::Inst &LoopBegin,
                        const SlotFacts &Facts);
 
 /// Constant staged-input-region range written by a copy_to_dma /
-/// copy_literal_to_dma instruction, if determinable.
+/// copy_literal_to_dma instruction, if determinable: false when the
+/// offset or the element count is unknown, or the end offset does not fit
+/// in int64.
 bool inputWriteRange(const PlanView::Inst &I, const SlotFacts &Facts,
                      WordRange &R);
 

@@ -23,7 +23,6 @@
 #include "analysis/PlanView.h"
 
 #include <array>
-#include <map>
 #include <utility>
 
 using namespace axi4mlir;
@@ -76,7 +75,7 @@ private:
     SlotFacts Facts;
     int32_t CurDma;
     ProtocolModel Model;
-    std::map<int64_t, AbstractWord> Region;
+    StagedRegion Region;
     bool RegionUnknown;
   };
 
@@ -313,12 +312,15 @@ private:
       return;
     }
     if (OffKnown && Count >= 0) {
-      if (Off + Count > Cap)
+      // Off + Count may not fit in int64; the unsigned sum always does.
+      if (Off > Cap || Count > Cap - Off)
         error(Pc, std::string(What) + " covers words [" +
                       std::to_string(Off) + ", " +
-                      std::to_string(Off + Count) + ") but the DMA " +
-                      RegionName + " region holds only " +
-                      std::to_string(Cap) + " words");
+                      std::to_string(static_cast<uint64_t>(Off) +
+                                     static_cast<uint64_t>(Count)) +
+                      ") but the DMA " + RegionName +
+                      " region holds only " + std::to_string(Cap) +
+                      " words");
       return;
     }
     warn(Pc, std::string("cannot prove ") + What +
@@ -362,9 +364,10 @@ private:
       error(Pc, Msg);
   }
 
-  /// Replays the staged words [Begin, End) of the input region against
-  /// the model, exactly as dmaStartSend would stream them.
-  void streamStagedRange(int64_t Pc, int64_t Begin, int64_t End) {
+  /// Replays the staged words \p Range of the input region against the
+  /// model, exactly as dmaStartSend would stream them: each data run in
+  /// one burst, every other word on its own.
+  void streamStagedRange(int64_t Pc, WordRange Range) {
     if (!HaveModel || Model.gaveUp())
       return;
     if (RegionUnknown) {
@@ -373,37 +376,26 @@ private:
       Model.invalidate();
       return;
     }
+    auto More = [&] { return !Model.gaveUp() && !Aborted; };
+    if (!More())
+      return;
     bool WarnedUnstaged = false;
-    int64_t O = Begin;
-    while (O < End && !Model.gaveUp() && !Aborted) {
-      auto It = Region.find(O);
-      if (It == Region.end()) {
-        if (!WarnedUnstaged) {
-          warn(Pc, "streams region words never staged since the last "
-                   "dma_init (first at offset " +
-                       std::to_string(O) + ")");
-          WarnedUnstaged = true;
-        }
-        modelWord(Pc, AbstractWord::unknown());
-        ++O;
-        continue;
-      }
-      if (It->second.K == AbstractWord::Kind::Data) {
-        int64_t Run = 0;
-        while (O < End) {
-          auto Next = Region.find(O);
-          if (Next == Region.end() ||
-              Next->second.K != AbstractWord::Kind::Data)
-            break;
-          ++Run;
-          ++O;
-        }
-        modelData(Pc, Run);
-        continue;
-      }
-      modelWord(Pc, It->second);
-      ++O;
-    }
+    Region.stream(
+        Range,
+        [&](int64_t Count) {
+          modelData(Pc, Count);
+          return More();
+        },
+        [&](int64_t Offset, const AbstractWord *W) {
+          if (!W && !WarnedUnstaged) {
+            warn(Pc, "streams region words never staged since the last "
+                     "dma_init (first at offset " +
+                         std::to_string(Offset) + ")");
+            WarnedUnstaged = true;
+          }
+          modelWord(Pc, W ? *W : AbstractWord::unknown());
+          return More();
+        });
   }
 
   //===------------------------------------------------------------------===//
@@ -471,16 +463,7 @@ private:
     if (CurDma != Pre.CurDma)
       CurDma = -2; // some dma_init happened, but which one is open
     if (HaveModel) {
-      for (auto &Entry : Region) {
-        auto It = Pre.Region.find(Entry.first);
-        if (It == Pre.Region.end() || It->second.K != Entry.second.K ||
-            (Entry.second.K == AbstractWord::Kind::Const &&
-             It->second.Value != Entry.second.Value))
-          Entry.second = AbstractWord::unknown();
-      }
-      for (const auto &Old : Pre.Region)
-        if (!Region.count(Old.first))
-          Region[Old.first] = AbstractWord::unknown();
+      Region.mergeUnknown(Pre.Region);
       RegionUnknown = RegionUnknown || Pre.RegionUnknown;
     }
   }
@@ -619,7 +602,7 @@ private:
 
   ProtocolModel Model;
   bool HaveModel = false;
-  std::map<int64_t, AbstractWord> Region; ///< staged input-region content
+  StagedRegion Region; ///< staged input-region content
   bool RegionUnknown = false;
 };
 
@@ -690,33 +673,24 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     RegionUnknown = false;
     break;
 
-  case Op::CallCopyToDma: {
-    int64_t Cnt = memrefCount(I.A);
-    bool OffKnown = Facts.isConst(I.B);
-    int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
-    checkRegionRange(Pc, /*Input=*/true, OffKnown, Off, Cnt,
-                     "the staged copy");
-    if (HaveModel) {
-      if (OffKnown && Cnt >= 0)
-        for (int64_t O = Off; O < Off + Cnt; ++O)
-          Region[O] = AbstractWord::data();
-      else
-        RegionUnknown = true;
-    }
-    break;
-  }
+  case Op::CallCopyToDma:
   case Op::CallCopyLiteralToDma: {
+    bool Literal = I.Code == Op::CallCopyLiteralToDma;
     bool OffKnown = Facts.isConst(I.B);
-    int64_t Off = OffKnown ? Facts.Value[I.B] : 0;
-    checkRegionRange(Pc, /*Input=*/true, OffKnown, Off, 1,
-                     "the staged literal");
+    checkRegionRange(Pc, /*Input=*/true, OffKnown,
+                     OffKnown ? Facts.Value[I.B] : 0,
+                     Literal ? 1 : memrefCount(I.A),
+                     Literal ? "the staged literal" : "the staged copy");
     if (HaveModel) {
-      if (OffKnown)
-        Region[Off] = Facts.isConst(I.A)
-                          ? AbstractWord::constant(Facts.Value[I.A])
-                          : AbstractWord::unknown();
-      else
+      WordRange Staged;
+      if (!inputWriteRange(I, Facts, Staged))
         RegionUnknown = true;
+      else if (!Literal)
+        Region.assign(Staged, AbstractWord::data());
+      else
+        Region.assign(Staged, Facts.isConst(I.A)
+                                  ? AbstractWord::constant(Facts.Value[I.A])
+                                  : AbstractWord::unknown());
     }
     break;
   }
@@ -730,9 +704,10 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
                     std::to_string(Rg.End) + ")");
     else
       checkRegionRange(Pc, /*Input=*/true, RangeKnown, Rg.Begin,
-                       RangeKnown ? Rg.size() : -1, "the send");
+                       RangeKnown && Rg.Begin >= 0 ? Rg.size() : -1,
+                       "the send");
     if (RangeKnown && Rg.End >= Rg.Begin) {
-      streamStagedRange(Pc, Rg.Begin, Rg.End);
+      streamStagedRange(Pc, Rg);
     } else if (HaveModel && !Model.gaveUp()) {
       warn(Pc, "send bounds are not compile-time constants; protocol "
                "tracking stops");

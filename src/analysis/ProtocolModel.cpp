@@ -82,7 +82,11 @@ void ProtocolModel::extrapolateAccumulators(const ProtocolModel &AfterNext,
       return AfterOne; // steady: every further iteration is a no-op
     if (TotalIters < 0)
       return -1; // grows by an unknown number of iterations
-    return AfterOne + (TotalIters - 1) * Delta;
+    int64_t Total;
+    if (__builtin_mul_overflow(TotalIters - 1, Delta, &Total) ||
+        __builtin_add_overflow(AfterOne, Total, &Total))
+      return -1; // more words than int64 counts
+    return Total;
   };
   PendingOut = fold(PendingOut, AfterNext.PendingOut);
   SliceWords = fold(SliceWords, AfterNext.SliceWords);
@@ -98,7 +102,10 @@ std::string ProtocolModel::finishRow() {
   if (!Error.empty())
     return Error;
   // The output accounting of the row's effects.
-  auto add = [](int64_t A, int64_t B) { return A < 0 || B < 0 ? -1 : A + B; };
+  auto add = [](int64_t A, int64_t B) -> int64_t {
+    int64_t Sum;
+    return A < 0 || B < 0 || __builtin_add_overflow(A, B, &Sum) ? -1 : Sum;
+  };
   if (R.Effects & protocol::NewSlice)
     SliceWords = 0;
   if ((R.Effects & protocol::Compute) && Table->Acc == protocol::Output::Slice)

@@ -12,11 +12,18 @@
 /// 64x; both plan executors must make the same number of heap allocations
 /// at either size, so any per-transfer or per-tile allocation fails here.
 ///
+/// The static plan verifier is held to the same rule for staged words
+/// (docs/ANALYSIS.md): verifying two drivers of one loop structure whose
+/// staged tiles (16 vs 256 words) or conv windows (576 vs 4608 words)
+/// differ in size must allocate equally often.
+///
 /// Its own binary, because it replaces the global operator new with a
 /// counting one.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/PlanVerifier.h"
+#include "analysis/ProtocolModel.h"
 #include "dialects/InitAllDialects.h"
 #include "exec/AccelConfigs.h"
 #include "exec/ExecPlan.h"
@@ -125,6 +132,75 @@ RunAllocations countRunAllocations(int64_t Dim) {
     return Plan->run(*Soc, &Runtime, Args, RunError);
   });
   return Counts;
+}
+
+/// Lowers \p Func against the single accelerator of \p ConfigJson,
+/// compiles its plan and counts operator new calls inside one verifyPlan
+/// with the accelerator's ProtocolModel, after a warm-up call. The plan
+/// must verify clean, so every staged word reaches the model.
+uint64_t countVerifyAllocations(func::FuncOp Func,
+                                const std::string &ConfigJson) {
+  parser::AcceleratorDesc Accel = parseSingleAccelerator(ConfigJson);
+  std::string Error;
+  transforms::LoweringOptions Options;
+  Options.EnableCpuTiling = false;
+  if (failed(transforms::buildPipeline(Accel, Options).run(Func, Error))) {
+    ADD_FAILURE() << Error;
+    return 0;
+  }
+  std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
+  if (!Plan) {
+    ADD_FAILURE() << Error;
+    return 0;
+  }
+  auto Model = analysis::ProtocolModel::forAccelerator(Accel, Error);
+  if (failed(Model)) {
+    ADD_FAILURE() << Error;
+    return 0;
+  }
+  analysis::VerifyOptions Verify;
+  Verify.Model = &*Model;
+  analysis::VerifyResult Warm = analysis::verifyPlan(*Plan, Verify);
+  EXPECT_TRUE(Warm.Errors.empty() && Warm.Warnings.empty())
+      << Warm.toString();
+  uint64_t Before = NumAllocations.load();
+  analysis::verifyPlan(*Plan, Verify);
+  return NumAllocations.load() - Before;
+}
+
+uint64_t countMatMulVerifyAllocations(int64_t Dim, int64_t TileSize) {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func =
+      buildMatMulFunc(Builder, Dim, Dim, Dim, sim::ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  return countVerifyAllocations(Func,
+                                makeMatMulConfigJson(V::V3, TileSize, "Ns"));
+}
+
+/// A 3x3 conv over a 6x6 input plane (4x4 output, 8 output channels):
+/// each staged window holds 9 * \p InChannels words.
+uint64_t countConvVerifyAllocations(int64_t InChannels) {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func = buildConvFunc(Builder, 1, InChannels, 6, 8, 3, 1,
+                                    sim::ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  return countVerifyAllocations(Func, makeConvConfigJson());
+}
+
+TEST(ExecAllocation, VerifierDoesNotAllocatePerStagedWord) {
+  // 4 tiles per dimension either way; a staged tile is 16 words on the
+  // v3-4 engine and 256 on the v3-16 one.
+  uint64_t SmallTiles = countMatMulVerifyAllocations(16, 4);
+  uint64_t LargeTiles = countMatMulVerifyAllocations(64, 16);
+  EXPECT_GT(SmallTiles, 0u);
+  EXPECT_EQ(SmallTiles, LargeTiles) << "verifyPlan allocates per tile word";
+  // 576 vs 4608 words per window.
+  EXPECT_EQ(countConvVerifyAllocations(64), countConvVerifyAllocations(512))
+      << "verifyPlan allocates per window word";
 }
 
 TEST(ExecAllocation, StagingAndSubviewsDoNotAllocatePerTile) {

@@ -19,8 +19,13 @@
 /// same way: configs broken along each protocol rule it shares with the
 /// simulator are rejected with the expected finding.
 ///
+/// The verifier's run-list model of the staged DMA input region
+/// (analysis::StagedRegion) is checked against a per-word map by a seeded
+/// random sweep (AXI4MLIR_FUZZ_SEED / AXI4MLIR_FUZZ_CASES widen it).
+///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/PlanAnalyses.h"
 #include "analysis/PlanVerifier.h"
 #include "analysis/PlanView.h"
 #include "analysis/ProtocolChecker.h"
@@ -34,7 +39,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
 
 using namespace axi4mlir;
@@ -145,6 +153,17 @@ void expectError(const analysis::VerifyResult &Result,
     }
   }
   ADD_FAILURE() << "no error diagnostic contains '" << Needle << "'; got:\n"
+                << Result.toString();
+}
+
+/// True when some warning contains \p Needle; on failure prints everything
+/// the verifier reported.
+void expectWarning(const analysis::VerifyResult &Result,
+                   const std::string &Needle) {
+  for (const analysis::PlanDiag &D : Result.Warnings)
+    if (D.Message.find(Needle) != std::string::npos)
+      return;
+  ADD_FAILURE() << "no warning contains '" << Needle << "'; got:\n"
                 << Result.toString();
 }
 
@@ -450,6 +469,280 @@ TEST(PlanVerify, WindowBeforeFilterRejectedAtTheSend) {
   ASSERT_GE(First.Pc, 0) << First.Message;
   POp Code = PlanView::mutableProgram(*Plan)[First.Pc].Code;
   EXPECT_EQ(Code, POp::CallSend) << First.Message;
+}
+
+/// The first staged literal of the v3 driver (the reset opcode) and the
+/// send that streams it, with the literal's constant offset.
+struct FirstLiteral {
+  int64_t Literal = -1, Send = -1, Offset = -1;
+};
+FirstLiteral findFirstLiteral(ExecPlan &Plan) {
+  FirstLiteral F;
+  std::vector<Inst> &Program = PlanView::mutableProgram(Plan);
+  F.Literal = findInst(
+      Plan, [](const Inst &I) { return I.Code == POp::CallCopyLiteralToDma; });
+  if (F.Literal < 0)
+    return F;
+  int32_t OffsetSlot = Program[F.Literal].B;
+  int64_t Def = findInst(Plan, [&](const Inst &I) {
+    return I.Code == POp::ConstInt && I.Dst == OffsetSlot;
+  });
+  if (Def >= 0)
+    F.Offset = Program[Def].Imm;
+  for (size_t Pc = static_cast<size_t>(F.Literal); Pc < Program.size(); ++Pc)
+    if (Program[Pc].Code == POp::CallSend) {
+      F.Send = static_cast<int64_t>(Pc);
+      break;
+    }
+  return F;
+}
+
+/// A send over a word no staging instruction wrote since the dma_init:
+/// the reset literal becomes a plain constant (its end offset), so the
+/// send streams a word that was never staged.
+TEST(PlanVerify, SendOfUnstagedWordsWarns) {
+  parser::AcceleratorDesc Accel;
+  auto Plan = compilePlan(Accel);
+  ASSERT_TRUE(Plan);
+  std::string ModelError;
+  auto Model = analysis::ProtocolModel::forAccelerator(Accel, ModelError);
+  ASSERT_TRUE(succeeded(Model)) << ModelError;
+  analysis::VerifyOptions Options;
+  Options.Model = &*Model;
+
+  FirstLiteral F = findFirstLiteral(*Plan);
+  ASSERT_GE(F.Literal, 0);
+  ASSERT_GE(F.Offset, 0) << "expected a constant literal offset";
+  ASSERT_GT(F.Send, F.Literal);
+  Inst &I = PlanView::mutableProgram(*Plan)[F.Literal];
+  I.Code = POp::ConstInt;
+  I.Imm = F.Offset + 1;
+  analysis::VerifyResult Result = analysis::verifyPlan(*Plan, Options);
+  EXPECT_TRUE(Result.Errors.empty()) << Result.toString();
+  expectWarning(Result, "pc " + std::to_string(F.Send) +
+                            " (send): streams region words never staged "
+                            "since the last dma_init (first at offset " +
+                            std::to_string(F.Offset) + ")");
+}
+
+/// A send after a staging write the checker cannot place: the reset
+/// literal's offset becomes a runtime value (the first argument), and the
+/// send keeps a constant range (its end becomes the literal's opcode).
+TEST(PlanVerify, SendOfUnreconstructedRegionWarns) {
+  parser::AcceleratorDesc Accel;
+  auto Plan = compilePlan(Accel);
+  ASSERT_TRUE(Plan);
+  std::string ModelError;
+  auto Model = analysis::ProtocolModel::forAccelerator(Accel, ModelError);
+  ASSERT_TRUE(succeeded(Model)) << ModelError;
+  analysis::VerifyOptions Options;
+  Options.Model = &*Model;
+
+  FirstLiteral F = findFirstLiteral(*Plan);
+  ASSERT_GE(F.Literal, 0);
+  ASSERT_GT(F.Send, F.Literal);
+  std::vector<Inst> &Program = PlanView::mutableProgram(*Plan);
+  Program[F.Literal].B = 0;
+  Program[F.Send].A = Program[F.Literal].A;
+  analysis::VerifyResult Result = analysis::verifyPlan(*Plan, Options);
+  EXPECT_TRUE(Result.Errors.empty()) << Result.toString();
+  expectWarning(Result, "pc " + std::to_string(F.Send) +
+                            " (send): sends from a staged region the "
+                            "checker could not reconstruct; protocol "
+                            "tracking stops");
+}
+
+/// A loop body that emits a tile without receiving it grows the modeled
+/// output by one tile per iteration; over a trip count whose total does
+/// not fit in int64 the pending count becomes unknown instead of
+/// overflowing.
+TEST(ProtocolModel, AccumulatorsBeyondInt64BecomeUnknown) {
+  namespace op = sim::opcodes;
+  analysis::ProtocolModel Model = analysis::ProtocolModel::matmul(V::V3, 4);
+  auto iteration = [](analysis::ProtocolModel &M) {
+    for (uint32_t Load : {op::MM_SA, op::MM_SB}) {
+      EXPECT_EQ(M.feedWord(analysis::AbstractWord::constant(Load)), "");
+      EXPECT_EQ(M.feedData(16), "");
+    }
+    for (uint32_t Opcode : {op::MM_CC, op::MM_RC})
+      EXPECT_EQ(M.feedWord(analysis::AbstractWord::constant(Opcode)), "");
+  };
+  iteration(Model);
+  ASSERT_EQ(Model.pendingOutputWords(), 16);
+  analysis::ProtocolModel AfterTwo = Model;
+  iteration(AfterTwo);
+  ASSERT_EQ(AfterTwo.pendingOutputWords(), 32);
+
+  analysis::ProtocolModel Four = Model;
+  Four.extrapolateAccumulators(AfterTwo, 4);
+  EXPECT_EQ(Four.pendingOutputWords(), 64);
+  // The trip count of `for 0 to INT64_MAX step 4`: 2^61 tiles of 16 words.
+  Model.extrapolateAccumulators(AfterTwo, int64_t{1} << 61);
+  EXPECT_EQ(Model.pendingOutputWords(), -1);
+}
+
+//===----------------------------------------------------------------------===//
+// The staged-region model against a per-word map
+//===----------------------------------------------------------------------===//
+
+using analysis::AbstractWord;
+using analysis::StagedRegion;
+using analysis::WordRange;
+using WordMap = std::map<int64_t, AbstractWord>;
+
+bool sameWord(const AbstractWord &A, const AbstractWord &B) {
+  return A.K == B.K && (A.K != AbstractWord::Kind::Const || A.Value == B.Value);
+}
+
+std::string describe(const AbstractWord *W) {
+  if (!W)
+    return "never staged";
+  switch (W->K) {
+  case AbstractWord::Kind::Const:
+    return "const " + std::to_string(W->Value);
+  case AbstractWord::Kind::Data:
+    return "data";
+  case AbstractWord::Kind::Unknown:
+    return "unknown";
+  }
+  return "?";
+}
+
+/// The pieces a send over \p R feeds the protocol model, one line each,
+/// stopping after \p Limit of them. The per-word walk over \p Map is
+/// the reference: consecutive data words go in one burst, every other
+/// word alone.
+std::vector<std::string> oracleStream(const WordMap &Map, WordRange R,
+                                      size_t Limit) {
+  std::vector<std::string> Out;
+  int64_t O = R.Begin;
+  while (O < R.End && Out.size() < Limit) {
+    auto It = Map.find(O);
+    if (It != Map.end() && It->second.K == AbstractWord::Kind::Data) {
+      int64_t Run = 0;
+      for (; O < R.End; ++O, ++Run) {
+        auto Next = Map.find(O);
+        if (Next == Map.end() || Next->second.K != AbstractWord::Kind::Data)
+          break;
+      }
+      Out.push_back("data burst of " + std::to_string(Run));
+      continue;
+    }
+    Out.push_back("word " + std::to_string(O) + ": " +
+                  describe(It == Map.end() ? nullptr : &It->second));
+    ++O;
+  }
+  return Out;
+}
+
+std::vector<std::string> regionStream(const StagedRegion &Region, WordRange R,
+                                      size_t Limit) {
+  std::vector<std::string> Out;
+  Region.stream(
+      R,
+      [&](int64_t Count) {
+        Out.push_back("data burst of " + std::to_string(Count));
+        return Out.size() < Limit;
+      },
+      [&](int64_t Offset, const AbstractWord *W) {
+        Out.push_back("word " + std::to_string(Offset) + ": " + describe(W));
+        return Out.size() < Limit;
+      });
+  return Out;
+}
+
+/// The loop merge the verifier made per word before it tracked runs.
+void oracleMerge(WordMap &Cur, const WordMap &Pre) {
+  for (auto &Entry : Cur) {
+    auto It = Pre.find(Entry.first);
+    if (It == Pre.end() || !sameWord(It->second, Entry.second))
+      Entry.second = AbstractWord::unknown();
+  }
+  for (const auto &Old : Pre)
+    if (!Cur.count(Old.first))
+      Cur[Old.first] = AbstractWord::unknown();
+}
+
+/// Random overlapping data, constant and unknown stages, clears and loop
+/// merges, applied to a StagedRegion and to a per-word map: after every
+/// step each word of the window, the run-list invariants, and the pieces
+/// a send over a random range would feed the model must agree.
+TEST(StagedRegion, RandomSweepMatchesPerWordMap) {
+  uint32_t Seed = 1;
+  int Cases = 200;
+  if (const char *Env = std::getenv("AXI4MLIR_FUZZ_SEED"))
+    Seed = static_cast<uint32_t>(std::strtoul(Env, nullptr, 10));
+  if (const char *Env = std::getenv("AXI4MLIR_FUZZ_CASES"))
+    Cases = static_cast<int>(std::strtol(Env, nullptr, 10));
+  std::mt19937_64 Rng(Seed);
+  auto pick = [&](int64_t Lo, int64_t Hi) {
+    return std::uniform_int_distribution<int64_t>(Lo, Hi)(Rng);
+  };
+  // Offsets may be negative: the verifier still tracks a staging write it
+  // has reported as out of the region.
+  const int64_t Lo = -8, Hi = 56;
+  for (int Case = 0; Case < Cases; ++Case) {
+    SCOPED_TRACE("seed " + std::to_string(Seed) + " case " +
+                 std::to_string(Case));
+    StagedRegion Region, SavedRegion;
+    WordMap Map, SavedMap;
+    for (int Step = 0; Step < 40; ++Step) {
+      std::string Op;
+      int64_t Kind = pick(0, 9);
+      if (Kind <= 5) {
+        int64_t Begin = pick(Lo, Hi - 1);
+        int64_t End = std::min(Hi, Begin + pick(0, 12));
+        AbstractWord W = Kind <= 2   ? AbstractWord::data()
+                         : Kind <= 4 ? AbstractWord::constant(pick(0, 2))
+                                     : AbstractWord::unknown();
+        if (Kind != 5 && Kind >= 3 && pick(0, 1))
+          End = std::min(End, Begin + 1); // a literal
+        Region.assign({Begin, End}, W);
+        for (int64_t O = Begin; O < End; ++O)
+          Map[O] = W;
+        Op = "assign [" + std::to_string(Begin) + ", " +
+             std::to_string(End) + ") " + describe(&W);
+      } else if (Kind == 6) {
+        SavedRegion = Region;
+        SavedMap = Map;
+        Op = "snapshot";
+      } else if (Kind <= 8) {
+        Region.mergeUnknown(SavedRegion);
+        oracleMerge(Map, SavedMap);
+        Op = "merge";
+      } else {
+        Region.clear();
+        Map.clear();
+        Op = "clear";
+      }
+      SCOPED_TRACE("step " + std::to_string(Step) + ": " + Op);
+
+      const std::vector<StagedRegion::Run> &Runs = Region.runs();
+      for (size_t I = 0; I < Runs.size(); ++I) {
+        ASSERT_LT(Runs[I].Range.Begin, Runs[I].Range.End) << "empty run";
+        if (I == 0)
+          continue;
+        ASSERT_LE(Runs[I - 1].Range.End, Runs[I].Range.Begin)
+            << "runs overlap or are unsorted";
+        ASSERT_FALSE(Runs[I - 1].Range.End == Runs[I].Range.Begin &&
+                     sameWord(Runs[I - 1].Word, Runs[I].Word))
+            << "adjacent equal runs at " << Runs[I].Range.Begin
+            << " are not merged";
+      }
+      for (int64_t O = Lo - 2; O < Hi + 2; ++O) {
+        auto It = Map.find(O);
+        const AbstractWord *Want = It == Map.end() ? nullptr : &It->second;
+        ASSERT_EQ(describe(Region.find(O)), describe(Want)) << "word " << O;
+      }
+      int64_t Begin = pick(Lo - 2, Hi + 1);
+      WordRange Send = {Begin, pick(Begin, Hi + 2)};
+      size_t Limit = static_cast<size_t>(pick(1, 80));
+      ASSERT_EQ(regionStream(Region, Send, Limit),
+                oracleStream(Map, Send, Limit))
+          << "send [" << Send.Begin << ", " << Send.End << ") limit "
+          << Limit;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
