@@ -168,6 +168,10 @@ bool analysis::evalConstDst(const Inst &I, const SlotFacts &Facts,
       R = LHS > RHS ? LHS : RHS;
       break;
     }
+    // Converting a double outside int64 (or NaN) to int64_t is undefined:
+    // such a fold is not a constant.
+    if (!(R >= -0x1p63 && R < 0x1p63))
+      return false;
     Out = static_cast<int64_t>(R);
     return true;
   }

@@ -141,8 +141,9 @@ struct SlotFacts {
 
 /// Evaluates \p I's result under \p Facts; true when it is a compile-time
 /// constant. Covers constants, index_cast, integer Binary (double
-/// arithmetic, runSpan-identical) and the staging end-offset results of
-/// copy_to_dma / copy_literal_to_dma.
+/// arithmetic, runSpan-identical; a result outside int64 is not a
+/// constant) and the staging end-offset results of copy_to_dma /
+/// copy_literal_to_dma.
 bool evalConstDst(const PlanView::Inst &I, const SlotFacts &Facts,
                   int64_t &Out);
 

@@ -545,10 +545,24 @@ std::string ExecPlan::printToString() const {
 //===----------------------------------------------------------------------===//
 
 struct ExecPlan::ExecState {
+  /// A linalg.generic operand resolved for one execution; for projected
+  /// permutations the map is folded into per-loop-dim stride
+  /// contributions so each point's linear index is a plain dot product.
+  struct GenericOperand {
+    const MemRefDesc *Desc;
+    bool IsF32;
+    bool Projected;
+    int64_t DimStride[runtime::detail::MaxCopyRank];
+  };
+
   sim::SoC &Soc;
   runtime::DmaRuntime *Runtime;
   std::vector<Cell> Cells;
   std::string Error;
+  /// runGeneric's operand table and odometer point, kept for the run so
+  /// that only the first linalg.generic execution allocates them.
+  std::vector<GenericOperand> GenericOperands;
+  std::vector<int64_t> GenericPoint;
 
   ExecState(sim::SoC &Soc, runtime::DmaRuntime *Runtime)
       : Soc(Soc), Runtime(Runtime) {}
@@ -804,21 +818,16 @@ LogicalResult ExecPlan::runGeneric(const GenericPlan &G, ExecState &S) const {
   const unsigned NumLoops = static_cast<unsigned>(G.Ranges.size());
   const unsigned NumOperands = static_cast<unsigned>(G.Operands.size());
 
-  // Resolve descriptors once per generic execution; for projected
-  // permutations fold the map into per-loop-dim stride contributions so
-  // each point's linear index is a plain dot product.
-  struct Resolved {
-    const MemRefDesc *Desc;
-    bool IsF32;
-    bool Projected;
-    int64_t DimStride[runtime::detail::MaxCopyRank];
-  };
+  // Resolve descriptors once per generic execution, into the run's
+  // scratch arrays. They are taken here and handed back at the end, so a
+  // body that runs a generic of its own gets fresh ones.
   assert(NumLoops <= runtime::detail::MaxCopyRank &&
          "loop nest beyond plan odometer cap");
-  std::vector<Resolved> Ops(NumOperands);
+  std::vector<ExecState::GenericOperand> Ops = std::move(S.GenericOperands);
+  Ops.resize(NumOperands);
   for (unsigned K = 0; K < NumOperands; ++K) {
     const OperandPlan &P = G.Operands[K];
-    Resolved &R = Ops[K];
+    ExecState::GenericOperand &R = Ops[K];
     R.Desc = &S.Cells[P.Slot].M;
     R.IsF32 = R.Desc->kind() == sim::ElemKind::F32;
     R.Projected = P.Projected;
@@ -832,7 +841,7 @@ LogicalResult ExecPlan::runGeneric(const GenericPlan &G, ExecState &S) const {
 
   auto linearAt = [&](unsigned K,
                       const std::vector<int64_t> &Point) -> int64_t {
-    const Resolved &R = Ops[K];
+    const ExecState::GenericOperand &R = Ops[K];
     int64_t Linear = R.Desc->Offset;
     if (R.Projected) {
       for (unsigned D = 0; D < NumLoops; ++D)
@@ -850,7 +859,8 @@ LogicalResult ExecPlan::runGeneric(const GenericPlan &G, ExecState &S) const {
   };
 
   // Odometer over the iteration space; models the compiled loop nest.
-  std::vector<int64_t> Point(NumLoops, 0);
+  std::vector<int64_t> Point = std::move(S.GenericPoint);
+  Point.assign(NumLoops, 0);
   bool Done = product(G.Ranges) == 0;
   while (!Done) {
     Perf.onLoopIteration();
@@ -886,6 +896,8 @@ LogicalResult ExecPlan::runGeneric(const GenericPlan &G, ExecState &S) const {
       Point[D] = 0;
     }
   }
+  S.GenericOperands = std::move(Ops);
+  S.GenericPoint = std::move(Point);
   return success();
 }
 

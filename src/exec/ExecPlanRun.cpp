@@ -248,10 +248,23 @@ struct DecodedProgram {
   unsigned NumSpecialized = 0;
 
   struct RunState {
+    /// A linalg.generic operand as runOdometer resolves it (the same
+    /// record as ExecPlan::runGeneric's).
+    struct GenericOperand {
+      const MemRefDesc *Desc;
+      bool IsF32;
+      bool Projected;
+      int64_t DimStride[runtime::detail::MaxCopyRank];
+    };
+
     sim::SoC &Soc;
     runtime::DmaRuntime *Runtime;
     std::vector<Cell> Cells;
     std::string Error;
+    /// runOdometer's operand table and point, kept for the run so that
+    /// only the first odometer execution allocates them.
+    std::vector<GenericOperand> GenericOperands;
+    std::vector<int64_t> GenericPoint;
 
     RunState(sim::SoC &Soc, runtime::DmaRuntime *Runtime)
         : Soc(Soc), Runtime(Runtime) {}
@@ -835,18 +848,15 @@ LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
   const unsigned NumLoops = static_cast<unsigned>(G.Ranges.size());
   const unsigned NumOperands = static_cast<unsigned>(G.Operands.size());
 
-  struct Resolved {
-    const MemRefDesc *Desc;
-    bool IsF32;
-    bool Projected;
-    int64_t DimStride[runtime::detail::MaxCopyRank];
-  };
+  // The run's scratch arrays are taken here and handed back at the end,
+  // so a body that runs a generic of its own gets fresh ones.
   assert(NumLoops <= runtime::detail::MaxCopyRank &&
          "loop nest beyond plan odometer cap");
-  std::vector<Resolved> Ops(NumOperands);
+  std::vector<RunState::GenericOperand> Ops = std::move(S.GenericOperands);
+  Ops.resize(NumOperands);
   for (unsigned K = 0; K < NumOperands; ++K) {
     const OperandPlan &P = G.Operands[K];
-    Resolved &R = Ops[K];
+    RunState::GenericOperand &R = Ops[K];
     R.Desc = &S.Cells[P.Slot].M;
     R.IsF32 = R.Desc->kind() == sim::ElemKind::F32;
     R.Projected = P.Projected;
@@ -860,7 +870,7 @@ LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
 
   auto LinearAt = [&](unsigned K,
                       const std::vector<int64_t> &Point) -> int64_t {
-    const Resolved &R = Ops[K];
+    const RunState::GenericOperand &R = Ops[K];
     int64_t Linear = R.Desc->Offset;
     if (R.Projected) {
       for (unsigned D = 0; D < NumLoops; ++D)
@@ -877,7 +887,8 @@ LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
     return Linear;
   };
 
-  std::vector<int64_t> Point(NumLoops, 0);
+  std::vector<int64_t> Point = std::move(S.GenericPoint);
+  Point.assign(NumLoops, 0);
   bool Done = product(G.Ranges) == 0;
   while (!Done) {
     Perf.onLoopIteration();
@@ -909,6 +920,8 @@ LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
       Point[D] = 0;
     }
   }
+  S.GenericOperands = std::move(Ops);
+  S.GenericPoint = std::move(Point);
   return success();
 }
 
@@ -958,9 +971,11 @@ template <bool IsF32> inline double wordValue(uint32_t Word) {
 /// iteration space with an outer odometer over dims [0, NumLoops-1) and a
 /// hardwired inner loop over the innermost dim, bumping each operand's
 /// linear index incrementally instead of recomputing the dot product.
+/// Every charge of a kernel goes through one sweep, committed when the
+/// kernel returns.
 #define AXI4MLIR_KERNEL_PROLOGUE(CAP, NOPS)                                    \
   const GenericPlan &G = *DG.G;                                                \
-  sim::HostPerfModel &Perf = S.Soc.perf();                                     \
+  sim::HostPerfModel::Sweep Charge(S.Soc.perf());                              \
   const unsigned NumLoops = static_cast<unsigned>(G.Ranges.size());            \
   KernelOperand Kop[CAP];                                                      \
   for (unsigned K = 0; K < (NOPS); ++K) {                                      \
@@ -1020,17 +1035,17 @@ void DecodedProgram::mulAddKernel(const DecodedGeneric &DG,
       // Charge order per point matches the generic odometer exactly:
       // loop iteration, indexing arith, operand loads in operand order,
       // one arith per body instruction, the yield store.
-      Perf.onLoopIteration();
-      Perf.onArith(3);
+      Charge.onLoopIteration();
+      Charge.onArith(3);
       double V[3];
-      Perf.onScalarLoad(reinterpret_cast<uint64_t>(B0 + L0), 4);
+      Charge.onScalarLoad(reinterpret_cast<uint64_t>(B0 + L0), 4);
       V[0] = wordValue<IsF32>(B0[L0]);
-      Perf.onScalarLoad(reinterpret_cast<uint64_t>(B1 + L1), 4);
+      Charge.onScalarLoad(reinterpret_cast<uint64_t>(B1 + L1), 4);
       V[1] = wordValue<IsF32>(B1[L1]);
-      Perf.onScalarLoad(reinterpret_cast<uint64_t>(B2 + L2), 4);
+      Charge.onScalarLoad(reinterpret_cast<uint64_t>(B2 + L2), 4);
       V[2] = wordValue<IsF32>(B2[L2]);
-      Perf.onArith(1); // mul
-      Perf.onArith(1); // add
+      Charge.onArith(1); // mul
+      Charge.onArith(1); // add
       uint32_t OutWord;
       if (IsF32) {
         // Matches the Binary handler's double arithmetic on f32 cells:
@@ -1048,7 +1063,7 @@ void DecodedProgram::mulAddKernel(const DecodedGeneric &DG,
         int64_t Y = static_cast<int64_t>(A + B);
         OutWord = static_cast<uint32_t>(static_cast<int32_t>(Y));
       }
-      Perf.onScalarStore(reinterpret_cast<uint64_t>(B2 + L2), 4);
+      Charge.onScalarStore(reinterpret_cast<uint64_t>(B2 + L2), 4);
       B2[L2] = OutWord;
       L0 += S0;
       L1 += S1;
@@ -1067,20 +1082,20 @@ void DecodedProgram::copyKernel(const DecodedGeneric &DG, RunState &S) const {
   for (;;) {
     int64_t L0 = Kop[0].Lin, L1 = Kop[1].Lin;
     for (int64_t J = 0; J < InnerN; ++J) {
-      Perf.onLoopIteration();
-      Perf.onArith(3);
-      Perf.onScalarLoad(reinterpret_cast<uint64_t>(B0 + L0), 4);
+      Charge.onLoopIteration();
+      Charge.onArith(3);
+      Charge.onScalarLoad(reinterpret_cast<uint64_t>(B0 + L0), 4);
       uint32_t Word = B0[L0];
       // The odometer loads the current output element too (its value is
       // discarded, but the cache sees the access).
-      Perf.onScalarLoad(reinterpret_cast<uint64_t>(B1 + L1), 4);
+      Charge.onScalarLoad(reinterpret_cast<uint64_t>(B1 + L1), 4);
       uint32_t OutWord;
       if (IsF32)
         OutWord = sim::floatToWord(static_cast<float>(
             static_cast<double>(sim::wordToFloat(Word))));
       else
         OutWord = static_cast<uint32_t>(static_cast<int32_t>(Word));
-      Perf.onScalarStore(reinterpret_cast<uint64_t>(B1 + L1), 4);
+      Charge.onScalarStore(reinterpret_cast<uint64_t>(B1 + L1), 4);
       B1[L1] = OutWord;
       L0 += S0;
       L1 += S1;
@@ -1103,14 +1118,14 @@ void DecodedProgram::eltwiseKernel(const DecodedGeneric &DG,
     for (unsigned K = 0; K < NOps; ++K)
       L[K] = Kop[K].Lin;
     for (int64_t J = 0; J < InnerN; ++J) {
-      Perf.onLoopIteration();
-      Perf.onArith(3);
+      Charge.onLoopIteration();
+      Charge.onArith(3);
       double V[4] = {0, 0, 0, 0};
       for (unsigned K = 0; K < NOps; ++K) {
-        Perf.onScalarLoad(reinterpret_cast<uint64_t>(Kop[K].Buf + L[K]), 4);
+        Charge.onScalarLoad(reinterpret_cast<uint64_t>(Kop[K].Buf + L[K]), 4);
         V[K] = wordValue<IsF32>(Kop[K].Buf[L[K]]);
       }
-      Perf.onArith(1);
+      Charge.onArith(1);
       double A = V[EA], B = V[EB], R = 0;
       switch (Kind) {
       case BinKind::Add:
@@ -1135,8 +1150,8 @@ void DecodedProgram::eltwiseKernel(const DecodedGeneric &DG,
       else
         OutWord = static_cast<uint32_t>(
             static_cast<int32_t>(static_cast<int64_t>(R)));
-      Perf.onScalarStore(reinterpret_cast<uint64_t>(Kop[Out].Buf + L[Out]),
-                         4);
+      Charge.onScalarStore(
+          reinterpret_cast<uint64_t>(Kop[Out].Buf + L[Out]), 4);
       Kop[Out].Buf[L[Out]] = OutWord;
       for (unsigned K = 0; K < NOps; ++K)
         L[K] += Kop[K].DimStride[Inner];

@@ -13,7 +13,8 @@
 /// block — counter totals are numerically identical to the unbatched
 /// per-element/per-row charges because the arithmetic counters are pure
 /// sums and the stateful cache simulator is still walked access-by-access
-/// in the original order.
+/// in the original order. All charges of one copy go through one
+/// sim::HostPerfModel::Sweep.
 ///
 /// Charging is unified across all callers (this is the fix for the
 /// historical asymmetry where the DMA elementwise path charged a
@@ -129,10 +130,12 @@ inline std::string copyRankError(const std::string &What, unsigned Rank) {
          std::to_string(detail::MaxCopyRank) + ")";
 }
 
-/// Executes \p Req, charging \p Perf as documented above.
+/// Executes \p Req, charging \p Perf as documented above through one
+/// sweep.
 inline void stridedCopy(sim::HostPerfModel &Perf,
                         const StridedCopyRequest &Req) {
   assert(Req.Rank <= detail::MaxCopyRank && "copy rank beyond odometer cap");
+  sim::HostPerfModel::Sweep Charge(Perf);
   const unsigned Rank = Req.Rank;
   const int64_t *Sizes = Req.Sizes;
 
@@ -144,7 +147,7 @@ inline void stridedCopy(sim::HostPerfModel &Perf,
     const int64_t RowElements = Rank == 0 ? 1 : Sizes[Rank - 1];
     const uint64_t RowBytes = static_cast<uint64_t>(RowElements) * 4;
     // Loop iterations are charged for every dimension above the rows.
-    Perf.onLoopIterations(
+    Charge.onLoopIterations(
         detail::sweepIterations(Sizes, Rank >= 1 ? Rank - 1 : 0));
 
     const int64_t Rows = Rank >= 2 ? Sizes[Rank - 2] : 1;
@@ -166,10 +169,10 @@ inline void stridedCopy(sim::HostPerfModel &Perf,
     int64_t Index[detail::MaxCopyRank] = {0};
     int64_t SrcOff = 0, DstOff = 0;
     while (true) {
-      Perf.onMemcpyRows(Req.Dst.Address + DstOff * 4,
-                        Req.Src.Address + SrcOff * 4, RowBytes,
-                        static_cast<uint64_t>(Rows), DstRowStride * 4,
-                        SrcRowStride * 4);
+      Charge.onMemcpyRows(Req.Dst.Address + DstOff * 4,
+                          Req.Src.Address + SrcOff * 4, RowBytes,
+                          static_cast<uint64_t>(Rows), DstRowStride * 4,
+                          SrcRowStride * 4);
       if (Req.Mode == CopyMode::Overwrite) {
         if (Collapsible) {
           std::memcpy(Req.Dst.Data + DstOff, Req.Src.Data + SrcOff,
@@ -181,7 +184,7 @@ inline void stridedCopy(sim::HostPerfModel &Perf,
                         RowBytes);
         }
       } else {
-        Perf.onArith(RowBytes / 8 * static_cast<uint64_t>(Rows));
+        Charge.onArith(RowBytes / 8 * static_cast<uint64_t>(Rows));
         for (int64_t Row = 0; Row < Rows; ++Row)
           detail::accumulateRow(Req.Dst.Data + DstOff + Row * DstRowStride,
                                 Req.Src.Data + SrcOff + Row * SrcRowStride,
@@ -212,7 +215,7 @@ inline void stridedCopy(sim::HostPerfModel &Perf,
   // order, pure-ALU charges batched per row.
   //===------------------------------------------------------------------===//
   const int64_t RowElements = Rank == 0 ? 1 : Sizes[Rank - 1];
-  Perf.onLoopIterations(detail::sweepIterations(Sizes, Rank));
+  Charge.onLoopIterations(detail::sweepIterations(Sizes, Rank));
   const uint64_t ArithPerElement =
       Req.Mode == CopyMode::Overwrite ? 2 : 3;
   const int64_t SrcElemStride = Rank == 0 ? 0 : Req.Src.Strides[Rank - 1];
@@ -225,17 +228,17 @@ inline void stridedCopy(sim::HostPerfModel &Perf,
   int64_t Index[detail::MaxCopyRank] = {0};
   int64_t SrcOff = 0, DstOff = 0;
   while (true) {
-    Perf.onArith(ArithPerElement * static_cast<uint64_t>(RowElements));
-    Perf.onBranch(static_cast<uint64_t>(RowElements));
+    Charge.onArith(ArithPerElement * static_cast<uint64_t>(RowElements));
+    Charge.onBranch(static_cast<uint64_t>(RowElements));
     int64_t SrcElem = SrcOff, DstElem = DstOff;
     for (int64_t I = 0; I < RowElements; ++I) {
-      Perf.onScalarLoad(Req.Src.Address + SrcElem * 4, 4);
+      Charge.onScalarLoad(Req.Src.Address + SrcElem * 4, 4);
       uint32_t Word = Req.Src.Data[SrcElem];
       uint32_t *Slot = Req.Dst.Data + DstElem;
       if (Req.Mode == CopyMode::Overwrite) {
         *Slot = Word;
       } else {
-        Perf.onScalarLoad(Req.Dst.Address + DstElem * 4, 4);
+        Charge.onScalarLoad(Req.Dst.Address + DstElem * 4, 4);
         if (Req.Mode == CopyMode::AccumulateF32)
           *Slot = sim::floatToWord(sim::wordToFloat(*Slot) +
                                    sim::wordToFloat(Word));
@@ -243,7 +246,7 @@ inline void stridedCopy(sim::HostPerfModel &Perf,
           *Slot = static_cast<uint32_t>(static_cast<int32_t>(*Slot) +
                                         static_cast<int32_t>(Word));
       }
-      Perf.onScalarStore(Req.Dst.Address + DstElem * 4, 4);
+      Charge.onScalarStore(Req.Dst.Address + DstElem * 4, 4);
       SrcElem += SrcElemStride;
       DstElem += DstElemStride;
     }

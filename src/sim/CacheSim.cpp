@@ -64,12 +64,26 @@ CacheSim::CacheSim(const SoCParams &Params)
       LineShift(log2IfPow2(static_cast<uint64_t>(Params.CacheLineBytes))) {}
 
 uint64_t CacheSim::accessSpan(uint64_t Address, uint64_t End) {
+  ++References;
+  return lookupSpan(Address, End);
+}
+
+uint64_t CacheSim::lookupSpan(uint64_t Address, uint64_t End) noexcept {
   uint64_t LineBytes = static_cast<uint64_t>(Params.CacheLineBytes);
-  uint64_t Penalty = accessLine(Address);
+  uint64_t Penalty = lookupLine(Address);
   // A straddling scalar access touches the second line too.
   if (End / LineBytes != Address / LineBytes)
     Penalty += accessLine(End / LineBytes * LineBytes);
   return Penalty;
+}
+
+uint64_t CacheSim::lookupLine(uint64_t LineAddress) noexcept {
+  return L1.access(LineAddress) ? 0 : missL1(LineAddress);
+}
+
+uint64_t CacheSim::lookupWays(uint64_t *SetTags, uint64_t Tag,
+                              uint64_t LineAddress) noexcept {
+  return L1.accessWays(SetTags, Tag) ? 0 : missL1(LineAddress);
 }
 
 uint64_t CacheSim::missL1(uint64_t LineAddress) {

@@ -15,6 +15,8 @@
 /// up to the MRU compare is inline: an access that hits the most recently
 /// used way of its L1 set costs a few ALU ops at the call site. The scan
 /// of the other ways, the LRU update and the L2 walk stay out of line.
+/// A sweep of many accesses opens a CacheSim::Walker, which holds the L1
+/// geometry and the reference count in locals while it is open.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +57,8 @@ public:
   uint64_t getNumSets() const { return NumSets; }
 
 private:
+  friend class CacheSim;
+
   /// access() for geometries that are not powers of two (exact for any
   /// geometry).
   bool accessByDivision(uint64_t Address);
@@ -80,6 +84,8 @@ private:
 /// The two-level hierarchy with reference/miss counters.
 class CacheSim {
 public:
+  class Walker;
+
   explicit CacheSim(const SoCParams &Params);
 
   /// Simulates a scalar access of \p Bytes at \p Address (straddling
@@ -95,23 +101,7 @@ public:
   /// each cache line exactly once — the behaviour of a vectorized memcpy
   /// (paper Sec. IV-B: "there will only be [a couple of] cache references
   /// to fetch the cache line"). Returns total miss-penalty cycles.
-  uint64_t accessRange(uint64_t Address, uint64_t Bytes) {
-    if (Bytes == 0)
-      return 0;
-    uint64_t Penalty = 0;
-    if (LineShift >= 0) {
-      uint64_t Shift = static_cast<uint64_t>(LineShift);
-      uint64_t LastLine = (Address + Bytes - 1) >> Shift;
-      for (uint64_t Line = Address >> Shift; Line <= LastLine; ++Line)
-        Penalty += accessLine(Line << Shift);
-      return Penalty;
-    }
-    uint64_t LineBytes = static_cast<uint64_t>(Params.CacheLineBytes);
-    uint64_t LastLine = (Address + Bytes - 1) / LineBytes;
-    for (uint64_t Line = Address / LineBytes; Line <= LastLine; ++Line)
-      Penalty += accessLine(Line * LineBytes);
-    return Penalty;
-  }
+  uint64_t accessRange(uint64_t Address, uint64_t Bytes);
 
   void reset();
 
@@ -133,6 +123,15 @@ private:
   /// Counts an L1 miss and walks L2; returns the miss penalty.
   uint64_t missL1(uint64_t LineAddress);
 
+  /// accessSpan() and accessLine() without counting the reference to the
+  /// line holding \p Address, which a Walker has counted already.
+  uint64_t lookupSpan(uint64_t Address, uint64_t End) noexcept;
+  uint64_t lookupLine(uint64_t LineAddress) noexcept;
+  /// The rest of a Walker lookup whose line (\p Tag) missed the MRU way
+  /// of its L1 set \p SetTags: the way scan and, on a miss, the L2 walk.
+  uint64_t lookupWays(uint64_t *SetTags, uint64_t Tag,
+                      uint64_t LineAddress) noexcept;
+
   SoCParams Params;
   CacheLevel L1;
   CacheLevel L2;
@@ -141,6 +140,96 @@ private:
   uint64_t L1Misses = 0;
   uint64_t L2Misses = 0;
 };
+
+/// Walks lines of a CacheSim for one block of code: the L1 tag base, set
+/// mask, way count and shifts are copied into the walker, and the
+/// reference count is kept here and added to the cache when the walker
+/// closes. Tags, LRU order and the miss counters are read and written in
+/// the cache itself, so accesses made through the cache while a walker is
+/// open stay exact. A line that misses the MRU way goes to the cache's
+/// out-of-line way scan and L2 walk. When the line size or the L1 set
+/// count is not a power of two, every line takes the division lookup.
+///
+/// The walker counts one reference per access() and per line of a
+/// range() unconditionally, so in a loop the count is an induction
+/// variable; the second line of a straddling scalar is counted by the
+/// cache.
+class CacheSim::Walker {
+public:
+  explicit Walker(CacheSim &Cache)
+      : Cache(Cache), Tags(Cache.L1.Tags.data()), SetMask(Cache.L1.SetMask),
+        Ways(Cache.L1.Ways),
+        LineShift((Cache.L1.LineShift | Cache.L1.SetShift) < 0
+                      ? -1
+                      : Cache.L1.LineShift),
+        TagShift(Cache.L1.LineShift + Cache.L1.SetShift) {}
+  ~Walker() { Cache.References += References; }
+  Walker(const Walker &) = delete;
+  Walker &operator=(const Walker &) = delete;
+
+  /// What CacheSim::access(\p Address, \p Bytes) does. The branch hints
+  /// keep the MRU hit of a scalar within one line on the straight path.
+  uint64_t access(uint64_t Address, unsigned Bytes) {
+    ++References;
+    uint64_t End = Address + (Bytes ? Bytes - 1 : 0);
+    if (__builtin_expect(LineShift < 0 || ((Address ^ End) >> LineShift), 0))
+      return Cache.lookupSpan(Address, End);
+    return lookup(Address);
+  }
+
+  /// What CacheSim::accessRange(\p Address, \p Bytes) does: each line of
+  /// the range once, in address order.
+  uint64_t range(uint64_t Address, uint64_t Bytes) {
+    if (Bytes == 0)
+      return 0;
+    uint64_t Penalty = 0;
+    if (LineShift >= 0) {
+      uint64_t LastLine = (Address + Bytes - 1) >> LineShift;
+      for (uint64_t Line = Address >> LineShift; Line <= LastLine; ++Line) {
+        ++References;
+        Penalty += lookup(Line << LineShift);
+      }
+      return Penalty;
+    }
+    uint64_t LineBytes = static_cast<uint64_t>(Cache.Params.CacheLineBytes);
+    uint64_t LastLine = (Address + Bytes - 1) / LineBytes;
+    for (uint64_t Line = Address / LineBytes; Line <= LastLine; ++Line) {
+      ++References;
+      Penalty += lookup(Line * LineBytes);
+    }
+    return Penalty;
+  }
+
+private:
+  /// Looks up the line holding \p Address (its reference already
+  /// counted); returns its penalty. The set and tag are CacheLevel's; a
+  /// line that misses the MRU way goes straight to the way scan.
+  uint64_t lookup(uint64_t Address) {
+    if (LineShift < 0)
+      return Cache.lookupLine(Address);
+    uint64_t *SetTags = Tags + ((Address >> LineShift) & SetMask) * Ways;
+    uint64_t Tag = (Address >> TagShift) + 1;
+    if (__builtin_expect(SetTags[0] == Tag, 1))
+      return 0;
+    return Cache.lookupWays(SetTags, Tag, Address);
+  }
+
+  CacheSim &Cache;
+  uint64_t *const Tags;
+  const uint64_t SetMask;
+  const int64_t Ways;
+  /// log2 of the line size, or -1 when the line size or the L1 set count
+  /// is not a power of two.
+  const int LineShift;
+  /// The line shift plus the set shift: an address shifted by it is the
+  /// L1 tag, less one. Used only when LineShift is not -1.
+  const int TagShift;
+  uint64_t References = 0;
+};
+
+inline uint64_t CacheSim::accessRange(uint64_t Address, uint64_t Bytes) {
+  return Walker(*this).range(Address, Bytes);
+}
 
 } // namespace sim
 } // namespace axi4mlir

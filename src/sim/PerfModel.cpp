@@ -35,42 +35,7 @@ std::string PerfReport::summary() const {
 }
 
 void HostPerfModel::onMemcpy(uint64_t Dst, uint64_t Src, uint64_t Bytes) {
-  uint64_t CopyInstructions =
-      Params.MemcpySetupInstructions +
-      (Bytes + Params.MemcpyBytesPerInstruction - 1) /
-          Params.MemcpyBytesPerInstruction;
-  Instructions += CopyInstructions;
-  // A memcpy is almost branch-free: one loop branch per 64-byte chunk.
-  uint64_t Branches = Bytes / 64 + 1;
-  BranchInstructions += Branches;
-  Instructions += Branches;
-  StallCycles += Cache.accessRange(Src, Bytes);
-  StallCycles += Cache.accessRange(Dst, Bytes);
-  Loads += Bytes / Params.MemcpyBytesPerInstruction;
-  Stores += Bytes / Params.MemcpyBytesPerInstruction;
-}
-
-void HostPerfModel::onMemcpyRows(uint64_t Dst, uint64_t Src,
-                                 uint64_t RowBytes, uint64_t Rows,
-                                 uint64_t DstStrideBytes,
-                                 uint64_t SrcStrideBytes) {
-  if (Rows == 0)
-    return;
-  uint64_t CopyInstructions =
-      Params.MemcpySetupInstructions +
-      (RowBytes + Params.MemcpyBytesPerInstruction - 1) /
-          Params.MemcpyBytesPerInstruction;
-  uint64_t Branches = RowBytes / 64 + 1;
-  Instructions += (CopyInstructions + Branches) * Rows;
-  BranchInstructions += Branches * Rows;
-  // The cache is stateful: preserve the per-row src-then-dst access order
-  // of the unbatched path so miss counts stay bit-identical.
-  for (uint64_t Row = 0; Row < Rows; ++Row) {
-    StallCycles += Cache.accessRange(Src + Row * SrcStrideBytes, RowBytes);
-    StallCycles += Cache.accessRange(Dst + Row * DstStrideBytes, RowBytes);
-  }
-  Loads += RowBytes / Params.MemcpyBytesPerInstruction * Rows;
-  Stores += RowBytes / Params.MemcpyBytesPerInstruction * Rows;
+  Sweep(*this).onMemcpyRows(Dst, Src, Bytes, 1, 0, 0);
 }
 
 PerfReport HostPerfModel::report() const {

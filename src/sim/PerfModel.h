@@ -79,8 +79,14 @@ struct PerfReport {
 /// CyclesPerInstruction is integral and the totals stay below 2^53 (every
 /// SoCParams in the repo uses 1.0). A fractional CPI rounds once here
 /// instead of once per charge.
+///
+/// A block of many charges (a kernel's loop nest, a strided copy, a
+/// memcpy's line walk) opens a Sweep instead of calling the hooks one by
+/// one; single charges call the hooks.
 class HostPerfModel {
 public:
+  class Sweep;
+
   explicit HostPerfModel(const SoCParams &Params)
       : Params(Params), Cache(Params) {}
 
@@ -115,28 +121,10 @@ public:
     onBranch();
   }
 
-  /// Batched loop-iteration charge: totals are identical to calling
-  /// onLoopIteration() \p Count times (the counters are pure sums), but
-  /// the accounting runs in O(1). Used by the strided-copy fast path.
-  void onLoopIterations(uint64_t Count) {
-    onArith(Count * Params.LoopIterationInstructions);
-    onBranch(Count);
-  }
-
   /// A vectorized memcpy of \p Bytes from \p Src to \p Dst (the copy
   /// specialization of paper Sec. IV-B): per-line cache references and
   /// ~one instruction per 16 bytes instead of per element.
   void onMemcpy(uint64_t Dst, uint64_t Src, uint64_t Bytes);
-
-  /// Batched row-block memcpy charge: totals (and cache state, which is
-  /// walked row by row in src-then-dst order) are identical to \p Rows
-  /// calls of onMemcpy over rows of \p RowBytes spaced \p DstStrideBytes /
-  /// \p SrcStrideBytes apart, but the arithmetic counters are computed in
-  /// closed form. Lets the strided-copy utility issue one charge per row
-  /// block instead of one per row.
-  void onMemcpyRows(uint64_t Dst, uint64_t Src, uint64_t RowBytes,
-                    uint64_t Rows, uint64_t DstStrideBytes,
-                    uint64_t SrcStrideBytes);
 
   /// Fixed host-cycle charges (DMA driver calls etc.).
   void onHostCycles(uint64_t Cycles) { StallCycles += Cycles; }
@@ -210,6 +198,95 @@ private:
   double CpuFallbackCycles = 0;
   uint64_t PlanCacheHits = 0;
   uint64_t PlanCacheMisses = 0;
+};
+
+/// Charges one block of host work through locals: the scalar, arith,
+/// branch and loop-iteration hooks below charge exactly what the
+/// HostPerfModel hooks of the same name charge, and walk the cache lines
+/// in the same order, but the totals (and the L1 geometry, through a
+/// CacheSim::Walker) stay in the sweep until it closes and commits them
+/// once. A sweep copies no cache state, so charges made on the model
+/// while it is open stay exact. Every return path commits, since the
+/// destructor does.
+class HostPerfModel::Sweep {
+public:
+  explicit Sweep(HostPerfModel &Perf)
+      : Perf(Perf), Cache(Perf.Cache),
+        AccessInstructions(1 + Perf.Params.ScalarAccessExtraInstructions),
+        LoopIterationInstructions(Perf.Params.LoopIterationInstructions) {}
+  ~Sweep() {
+    Perf.Instructions += Instructions;
+    Perf.BranchInstructions += BranchInstructions;
+    Perf.Loads += Loads;
+    Perf.Stores += Stores;
+    Perf.StallCycles += StallCycles;
+  }
+  Sweep(const Sweep &) = delete;
+  Sweep &operator=(const Sweep &) = delete;
+
+  void onScalarLoad(uint64_t Address, unsigned Bytes) {
+    ++Loads;
+    chargeAccess(Address, Bytes);
+  }
+  void onScalarStore(uint64_t Address, unsigned Bytes) {
+    ++Stores;
+    chargeAccess(Address, Bytes);
+  }
+  void onArith(uint64_t Count = 1) { Instructions += Count; }
+  void onBranch(uint64_t Count = 1) {
+    BranchInstructions += Count;
+    onArith(Count);
+  }
+  void onLoopIteration() {
+    onArith(LoopIterationInstructions);
+    onBranch();
+  }
+  /// \p Count onLoopIteration() charges in O(1).
+  void onLoopIterations(uint64_t Count) {
+    onArith(Count * LoopIterationInstructions);
+    onBranch(Count);
+  }
+  /// \p Rows HostPerfModel::onMemcpy charges over rows of \p RowBytes
+  /// spaced \p DstStrideBytes / \p SrcStrideBytes apart: the lines are
+  /// walked row by row in src-then-dst order, the arithmetic counters are
+  /// computed in closed form.
+  void onMemcpyRows(uint64_t Dst, uint64_t Src, uint64_t RowBytes,
+                    uint64_t Rows, uint64_t DstStrideBytes,
+                    uint64_t SrcStrideBytes) {
+    if (Rows == 0)
+      return;
+    const SoCParams &P = Perf.Params;
+    uint64_t CopyInstructions =
+        P.MemcpySetupInstructions +
+        (RowBytes + P.MemcpyBytesPerInstruction - 1) /
+            P.MemcpyBytesPerInstruction;
+    // A memcpy is almost branch-free: one loop branch per 64-byte chunk.
+    uint64_t Branches = RowBytes / 64 + 1;
+    Instructions += (CopyInstructions + Branches) * Rows;
+    BranchInstructions += Branches * Rows;
+    for (uint64_t Row = 0; Row < Rows; ++Row) {
+      StallCycles += Cache.range(Src + Row * SrcStrideBytes, RowBytes);
+      StallCycles += Cache.range(Dst + Row * DstStrideBytes, RowBytes);
+    }
+    Loads += RowBytes / P.MemcpyBytesPerInstruction * Rows;
+    Stores += RowBytes / P.MemcpyBytesPerInstruction * Rows;
+  }
+
+private:
+  void chargeAccess(uint64_t Address, unsigned Bytes) {
+    Instructions += AccessInstructions;
+    StallCycles += Cache.access(Address, Bytes);
+  }
+
+  HostPerfModel &Perf;
+  CacheSim::Walker Cache;
+  const uint64_t AccessInstructions;
+  const uint64_t LoopIterationInstructions;
+  uint64_t Instructions = 0;
+  uint64_t BranchInstructions = 0;
+  uint64_t Loads = 0;
+  uint64_t Stores = 0;
+  uint64_t StallCycles = 0;
 };
 
 } // namespace sim

@@ -12,6 +12,10 @@
 /// 64x; both plan executors must make the same number of heap allocations
 /// at either size, so any per-transfer or per-tile allocation fails here.
 ///
+/// The generic odometer is held to it as well: a linalg.generic the
+/// decoder does not specialize, run 1 or 8 times by a loop, must allocate
+/// equally often.
+///
 /// The static plan verifier is held to the same rule for staged words
 /// (docs/ANALYSIS.md): verifying two drivers of one loop structure whose
 /// staged tiles (16 vs 256 words) or conv windows (576 vs 4608 words)
@@ -30,6 +34,7 @@
 #include "exec/ExecPlanRun.h"
 #include "exec/Pipeline.h"
 #include "exec/Reference.h"
+#include "ir/Parser.h"
 
 #include <atomic>
 #include <cstdlib>
@@ -79,9 +84,34 @@ struct RunAllocations {
   uint64_t Plan = 0;    ///< Inside ExecPlan::run (plan interpreter).
 };
 
+/// Runs \p Plan through both plan executors on \p Soc after a warm-up
+/// run each, counting operator new calls inside each run.
+RunAllocations countExecutorAllocations(const ExecPlan &Plan, sim::SoC &Soc,
+                                        runtime::DmaRuntime *Runtime,
+                                        const std::vector<MemRefDesc> &Args) {
+  std::unique_ptr<DecodedPlan> Decoded = DecodedPlan::decode(Plan);
+  auto count = [&](auto Execute) -> uint64_t {
+    std::string RunError;
+    EXPECT_TRUE(succeeded(Execute(RunError))) << RunError; // warm-up
+    RunError.clear();
+    uint64_t Before = NumAllocations.load();
+    LogicalResult Ran = Execute(RunError);
+    uint64_t After = NumAllocations.load();
+    EXPECT_TRUE(succeeded(Ran)) << RunError;
+    return After - Before;
+  };
+  RunAllocations Counts;
+  Counts.Decoded = count([&](std::string &RunError) {
+    return Decoded->run(Soc, Runtime, Args, RunError);
+  });
+  Counts.Plan = count([&](std::string &RunError) {
+    return Plan.run(Soc, Runtime, Args, RunError);
+  });
+  return Counts;
+}
+
 /// Lowers a \p Dim cubed i32 matmul to the axirt driver for the v3-4
-/// engine, then runs it through both plan executors on one SoC after a
-/// warm-up run each, counting operator new calls inside each run.
+/// engine and counts the allocations of a run on each plan executor.
 RunAllocations countRunAllocations(int64_t Dim) {
   RunAllocations Counts;
   MLIRContext Context;
@@ -105,8 +135,6 @@ RunAllocations countRunAllocations(int64_t Dim) {
     ADD_FAILURE() << Error;
     return Counts;
   }
-  std::unique_ptr<DecodedPlan> Decoded = DecodedPlan::decode(*Plan);
-
   auto Soc = sim::makeMatMulSoC(V::V3, 4, sim::ElemKind::I32);
   runtime::DmaRuntime Runtime(*Soc);
   std::vector<MemRefDesc> Args = {MemRefDesc::alloc({Dim, Dim}),
@@ -114,24 +142,60 @@ RunAllocations countRunAllocations(int64_t Dim) {
                                   MemRefDesc::alloc({Dim, Dim})};
   for (size_t I = 0; I < Args.size(); ++I)
     fillRandom(Args[I], 11 + static_cast<uint32_t>(I));
+  return countExecutorAllocations(*Plan, *Soc, &Runtime, Args);
+}
 
-  auto count = [&](auto Execute) -> uint64_t {
-    std::string RunError;
-    EXPECT_TRUE(succeeded(Execute(RunError))) << RunError; // warm-up
-    RunError.clear();
-    uint64_t Before = NumAllocations.load();
-    LogicalResult Ran = Execute(RunError);
-    uint64_t After = NumAllocations.load();
-    EXPECT_TRUE(succeeded(Ran)) << RunError;
-    return After - Before;
-  };
-  Counts.Decoded = count([&](std::string &RunError) {
-    return Decoded->run(*Soc, &Runtime, Args, RunError);
-  });
-  Counts.Plan = count([&](std::string &RunError) {
-    return Plan->run(*Soc, &Runtime, Args, RunError);
-  });
-  return Counts;
+/// A loop that runs a 4x4 linalg.generic \p Trips times. Its body (an
+/// add, then a sub) is no kernel the decoder specializes, so both
+/// executors run it through their generic odometer.
+RunAllocations countGenericLoopAllocations(int64_t Trips) {
+  const std::string Memref = "memref<4x4xi32>";
+  const std::string Source =
+      "func.func() ({\n"
+      "^bb(%arg0: " + Memref + ", %arg1: " + Memref + ", %arg2: " + Memref +
+      "):\n"
+      "  %0 = arith.constant() {value = 0 : index} : () -> (index)\n"
+      "  %1 = arith.constant() {value = " + std::to_string(Trips) +
+      " : index} : () -> (index)\n"
+      "  %2 = arith.constant() {value = 1 : index} : () -> (index)\n"
+      "  scf.for(%0, %1, %2) ({\n"
+      "  ^bb(%arg3: index):\n"
+      "    linalg.generic(%arg0, %arg1, %arg2) ({\n"
+      "    ^bb(%arg4: i32, %arg5: i32, %arg6: i32):\n"
+      "      %3 = arith.addi(%arg4, %arg5) : (i32, i32) -> (i32)\n"
+      "      %4 = arith.subi(%3, %arg6) : (i32, i32) -> (i32)\n"
+      "      linalg.yield(%4) : (i32) -> ()\n"
+      "    }) {indexing_maps = [affine_map<(d0, d1) -> (d0, d1)>, "
+      "affine_map<(d0, d1) -> (d1, d0)>, affine_map<(d0, d1) -> (d0, d1)>], "
+      "iterator_types = [\"parallel\", \"parallel\"], num_inputs = 2} : (" +
+      Memref + ", " + Memref + ", " + Memref + ") -> ()\n"
+      "    scf.yield() : () -> ()\n"
+      "  }) : (index, index, index) -> ()\n"
+      "  func.return() : () -> ()\n"
+      "}) {function_type = (" + Memref + ", " + Memref + ", " + Memref +
+      ") -> (), sym_name = \"generic_loop\"} : () -> ()\n";
+  MLIRContext Context;
+  registerAllDialects(Context);
+  std::string Error;
+  auto Parsed = parseSourceString(Source, &Context, &Error);
+  if (failed(Parsed)) {
+    ADD_FAILURE() << Error;
+    return {};
+  }
+  std::unique_ptr<ExecPlan> Plan =
+      ExecPlan::compile(func::FuncOp(Parsed->get()), Error);
+  if (!Plan) {
+    ADD_FAILURE() << Error;
+    return {};
+  }
+  EXPECT_EQ(DecodedPlan::decode(*Plan)->numSpecializedKernels(), 0u);
+  auto Soc = sim::makeMatMulSoC(V::V3, 4, sim::ElemKind::I32);
+  std::vector<MemRefDesc> Args = {MemRefDesc::alloc({4, 4}),
+                                  MemRefDesc::alloc({4, 4}),
+                                  MemRefDesc::alloc({4, 4})};
+  for (size_t I = 0; I < Args.size(); ++I)
+    fillRandom(Args[I], 21 + static_cast<uint32_t>(I));
+  return countExecutorAllocations(*Plan, *Soc, nullptr, Args);
 }
 
 /// Lowers \p Func against the single accelerator of \p ConfigJson,
@@ -201,6 +265,16 @@ TEST(ExecAllocation, VerifierDoesNotAllocatePerStagedWord) {
   // 576 vs 4608 words per window.
   EXPECT_EQ(countConvVerifyAllocations(64), countConvVerifyAllocations(512))
       << "verifyPlan allocates per window word";
+}
+
+TEST(ExecAllocation, GenericOdometerDoesNotAllocatePerExecution) {
+  RunAllocations Once = countGenericLoopAllocations(1);
+  RunAllocations Eight = countGenericLoopAllocations(8);
+  EXPECT_GT(Once.Decoded, 0u); // the slot array at least
+  EXPECT_EQ(Once.Decoded, Eight.Decoded)
+      << "DecodedPlan::run allocates per linalg.generic execution";
+  EXPECT_EQ(Once.Plan, Eight.Plan)
+      << "ExecPlan::run allocates per linalg.generic execution";
 }
 
 TEST(ExecAllocation, StagingAndSubviewsDoNotAllocatePerTile) {

@@ -39,6 +39,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -437,6 +438,35 @@ TEST(PlanVerify, OutOfRangeOperandIsNotFolded) {
                                  "input region (offset or length is not a "
                                  "compile-time constant)";
   EXPECT_TRUE(Unproven) << Result.toString();
+}
+
+/// An integer Binary folds in double and converts back to int64; a result
+/// outside int64 is not a constant (the conversion would be undefined).
+TEST(PlanAnalyses, BinaryFoldOutsideInt64IsNotConstant) {
+  analysis::SlotFacts Facts(3);
+  auto setConst = [&](int32_t Slot, int64_t Value) {
+    Facts.Known[Slot] = 1;
+    Facts.Value[Slot] = Value;
+  };
+  auto fold = [&](PlanView::BinKind Kind, int64_t &Out) {
+    Inst I;
+    I.Code = POp::Binary;
+    I.Sub = static_cast<uint8_t>(Kind);
+    I.Dst = 2;
+    I.A = 0;
+    I.B = 1;
+    return analysis::evalConstDst(I, Facts, Out);
+  };
+  int64_t Out = 0;
+  setConst(0, INT64_MAX);
+  setConst(1, INT64_MAX);
+  EXPECT_FALSE(fold(PlanView::BinKind::Add, Out));
+  setConst(1, 2);
+  EXPECT_FALSE(fold(PlanView::BinKind::Mul, Out));
+  setConst(0, 2);
+  setConst(1, 3);
+  ASSERT_TRUE(fold(PlanView::BinKind::Add, Out));
+  EXPECT_EQ(Out, 5);
 }
 
 /// A conv flow that streams the windows before loading their filter. The

@@ -9,6 +9,8 @@
 #include "runtime/StridedCopy.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +49,135 @@ TEST(StridedCopy, ZeroSizedOuterDimIsANoOp) {
   EXPECT_EQ(R.Loads, 0u);
   EXPECT_EQ(R.Stores, 0u);
   EXPECT_EQ(R.L1DAccesses, 0u);
+}
+
+/// Every PerfReport field, compared exactly.
+void expectSameReport(const PerfReport &A, const PerfReport &B,
+                      const std::string &What) {
+  SCOPED_TRACE(What);
+  EXPECT_EQ(A.Instructions, B.Instructions);
+  EXPECT_EQ(A.BranchInstructions, B.BranchInstructions);
+  EXPECT_EQ(A.Loads, B.Loads);
+  EXPECT_EQ(A.Stores, B.Stores);
+  EXPECT_EQ(A.L1DAccesses, B.L1DAccesses);
+  EXPECT_EQ(A.CacheReferences, B.CacheReferences);
+  EXPECT_EQ(A.CacheMisses, B.CacheMisses);
+  EXPECT_EQ(A.HostCycles, B.HostCycles);
+  EXPECT_EQ(A.FabricCycles, B.FabricCycles);
+  EXPECT_EQ(A.DmaTransfers, B.DmaTransfers);
+  EXPECT_EQ(A.DmaBytesMoved, B.DmaBytesMoved);
+  EXPECT_EQ(A.TaskClockMs, B.TaskClockMs);
+  EXPECT_EQ(A.FaultsInjected, B.FaultsInjected);
+  EXPECT_EQ(A.RecoveryRetries, B.RecoveryRetries);
+  EXPECT_EQ(A.RecoveryBackoffCycles, B.RecoveryBackoffCycles);
+  EXPECT_EQ(A.WatchdogPollCycles, B.WatchdogPollCycles);
+  EXPECT_EQ(A.RecoveryReplayCycles, B.RecoveryReplayCycles);
+  EXPECT_EQ(A.FailoverEvents, B.FailoverEvents);
+  EXPECT_EQ(A.CpuFallbackEvents, B.CpuFallbackEvents);
+  EXPECT_EQ(A.CpuFallbackCycles, B.CpuFallbackCycles);
+  EXPECT_EQ(A.PlanCacheHits, B.PlanCacheHits);
+  EXPECT_EQ(A.PlanCacheMisses, B.PlanCacheMisses);
+}
+
+/// Charges \p Shadow with the sequence StridedCopy.h documents for
+/// \p Req, one hook call per event: a loop iteration per index step, per
+/// element a source load, [a destination load and one ALU op when
+/// accumulating,] a destination store, two ALU ops and a branch, or per
+/// row one memcpy [and RowBytes / 8 ALU ops when accumulating]. Dims
+/// counts the dimensions walked by index (all of them in scalar mode, all
+/// but the row in row mode); \p Dim, \p Src and \p Dst are the walk's
+/// position.
+void chargeDocumentedCopy(HostPerfModel &Shadow, const StridedCopyRequest &Req,
+                          unsigned Dims, unsigned Dim = 0, int64_t Src = 0,
+                          int64_t Dst = 0) {
+  if (Dim < Dims) {
+    for (int64_t I = 0; I < Req.Sizes[Dim]; ++I) {
+      Shadow.onLoopIteration();
+      chargeDocumentedCopy(Shadow, Req, Dims, Dim + 1,
+                           Src + I * Req.Src.Strides[Dim],
+                           Dst + I * Req.Dst.Strides[Dim]);
+    }
+    return;
+  }
+  bool Accumulate = Req.Mode != CopyMode::Overwrite;
+  if (Req.RowMemcpy) {
+    uint64_t RowBytes = 4 * static_cast<uint64_t>(
+                                Req.Rank == 0 ? 1 : Req.Sizes[Req.Rank - 1]);
+    Shadow.onMemcpy(Req.Dst.Address + 4 * Dst, Req.Src.Address + 4 * Src,
+                    RowBytes);
+    if (Accumulate)
+      Shadow.onArith(RowBytes / 8);
+    return;
+  }
+  Shadow.onScalarLoad(Req.Src.Address + 4 * Src, 4);
+  if (Accumulate) {
+    Shadow.onScalarLoad(Req.Dst.Address + 4 * Dst, 4);
+    Shadow.onArith(1);
+  }
+  Shadow.onScalarStore(Req.Dst.Address + 4 * Dst, 4);
+  Shadow.onArith(2);
+  Shadow.onBranch();
+}
+
+/// stridedCopy is shared by all three executors, so the walker-vs-plan
+/// tests cannot see a change to how it charges. Pin its charges against
+/// the documented per-element and per-row sequence instead, on the same
+/// model twice over so the second pass starts from a warm cache.
+TEST(StridedCopy, ChargesMatchTheDocumentedSequence) {
+  SoCParams Params;
+  HostPerfModel Perf(Params), Shadow(Params);
+  std::vector<uint32_t> SrcWords(4096), DstWords(4096);
+  for (size_t I = 0; I < SrcWords.size(); ++I)
+    SrcWords[I] = static_cast<uint32_t>(I * 7 + 1);
+  struct Case {
+    const char *Name;
+    std::vector<int64_t> Sizes, SrcStrides, DstStrides;
+    CopyMode Mode;
+    bool RowMemcpy;
+    uint64_t SrcAddress, DstAddress;
+  };
+  const Case Cases[] = {
+      // Scalar mode: a transposing 3-D walk (unit stride on neither side
+      // innermost) in every mode, and a rank-0 copy.
+      {"scalar overwrite", {3, 4, 5}, {1, 15, 3}, {40, 8, 1},
+       CopyMode::Overwrite, false, 0x40000, 0x80010},
+      {"scalar accumulate i32", {3, 4, 5}, {1, 15, 3}, {40, 8, 1},
+       CopyMode::AccumulateI32, false, 0x40000, 0x80010},
+      {"scalar accumulate f32", {3, 4, 5}, {1, 15, 3}, {40, 8, 1},
+       CopyMode::AccumulateF32, false, 0x40000, 0x80010},
+      {"scalar rank 0", {}, {}, {}, CopyMode::Overwrite, false, 0x40004,
+       0x80008},
+      // Row mode: rows that abut on both sides (one collapsed memcpy per
+      // row block), then strided rows whose 40 bytes start mid-line, so
+      // most of them straddle two lines, overwritten and accumulated.
+      {"rows collapsible", {2, 6, 16}, {96, 16, 1}, {96, 16, 1},
+       CopyMode::Overwrite, true, 0x50000, 0x90000},
+      {"rows straddling", {2, 5, 10}, {120, 24, 1}, {70, 14, 1},
+       CopyMode::Overwrite, true, 0x50024, 0x90038},
+      {"rows straddling accumulate", {2, 5, 10}, {120, 24, 1}, {70, 14, 1},
+       CopyMode::AccumulateI32, true, 0x50024, 0x90038},
+      {"rows rank 1", {9}, {1}, {1}, CopyMode::Overwrite, true, 0x5003c,
+       0x9003c},
+  };
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    for (const Case &C : Cases) {
+      StridedCopyRequest Req;
+      Req.Rank = static_cast<unsigned>(C.Sizes.size());
+      Req.Sizes = C.Sizes.data();
+      Req.Src = {SrcWords.data(), C.SrcAddress, C.SrcStrides.data()};
+      Req.Dst = {DstWords.data(), C.DstAddress, C.DstStrides.data()};
+      Req.Mode = C.Mode;
+      Req.RowMemcpy = C.RowMemcpy;
+      stridedCopy(Perf, Req);
+      chargeDocumentedCopy(Shadow, Req,
+                           C.RowMemcpy && Req.Rank > 0 ? Req.Rank - 1
+                                                       : Req.Rank);
+      expectSameReport(Perf.report(), Shadow.report(),
+                       std::string(C.Name) + " pass " +
+                           std::to_string(Pass));
+    }
+  }
+  EXPECT_GT(Perf.report().CacheReferences, 0u);
 }
 
 TEST(MemRefDesc, AllocSubviewIndexing) {

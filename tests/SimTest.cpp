@@ -153,8 +153,9 @@ private:
 
 /// Drives CacheSim and NaiveCache with the same seeded streams: scalar
 /// accesses of 1-8 bytes at random offsets (some straddle two lines),
-/// ranges of 0-600 bytes, repeated hot lines, and strides that map every
-/// access to one L1 or L2 set.
+/// ranges of 0-600 bytes, repeated hot lines, strides that map every
+/// access to one L1 or L2 set, and runs of word touches and ranges through
+/// one CacheSim::Walker, compared once the walker has committed.
 void runCacheSweep(const SoCParams &P, const std::string &Geometry) {
   uint32_t Seed = 1;
   int Cases = 40;
@@ -203,7 +204,7 @@ void runCacheSweep(const SoCParams &P, const std::string &Geometry) {
         ASSERT_EQ(Cache.getL1Misses(), Ref.L1Misses) << where();
         ASSERT_EQ(Cache.getL2Misses(), Ref.L2Misses) << where();
       };
-      uint64_t Kind = uniform(0, 4);
+      uint64_t Kind = uniform(0, 5);
       uint64_t Address = Base + uniform(0, Span);
       if (Kind == 0) {
         step(false, Address, uniform(1, 8));
@@ -212,6 +213,42 @@ void runCacheSweep(const SoCParams &P, const std::string &Geometry) {
       } else if (Kind == 2) {
         uint64_t Hit = Hot[uniform(0, 3)];
         step(false, Hit + uniform(0, Line), 4);
+      } else if (Kind == 5) {
+        // One walker: 4-byte words on hot lines, on the Ways + 1 lines of
+        // one L1 set, and at random offsets (some straddle a line), mixed
+        // with ranges that mostly straddle lines.
+        uint64_t Got = 0, Want = 0;
+        uint64_t Touches = uniform(1, 48);
+        {
+          CacheSim::Walker Walk(Cache);
+          for (uint64_t I = 0; I < Touches; ++I) {
+            uint64_t Pick = uniform(0, 3);
+            uint64_t At = Base + uniform(0, Span);
+            if (Pick == 0)
+              At = Hot[uniform(0, 3)] + uniform(0, Line);
+            else if (Pick == 1)
+              At = Address + uniform(0, static_cast<uint64_t>(
+                                            P.L1Associativity)) *
+                                 L1SetStride;
+            if (Pick == 3) {
+              uint64_t Bytes = uniform(0, 600);
+              Got += Walk.range(At, Bytes);
+              Want += Ref.accessRange(At, Bytes);
+            } else {
+              Got += Walk.access(At, 4);
+              Want += Ref.access(At, 4);
+            }
+          }
+        }
+        auto where = [&] {
+          return Geometry + " seed " + std::to_string(Seed) + " case " +
+                 std::to_string(Case) + " op " + std::to_string(Op) +
+                 ": walker run of " + std::to_string(Touches) + " touches";
+        };
+        ASSERT_EQ(Got, Want) << where();
+        ASSERT_EQ(Cache.getReferences(), Ref.References) << where();
+        ASSERT_EQ(Cache.getL1Misses(), Ref.L1Misses) << where();
+        ASSERT_EQ(Cache.getL2Misses(), Ref.L2Misses) << where();
       } else {
         // Ways + 1 lines of one set: the LRU way is evicted every lap.
         bool InL1 = uniform(0, 1) == 0;
@@ -355,7 +392,7 @@ TEST(PerfModel, HostCyclesEqualInOrderSumOfCharges) {
     Perf.onLoopIteration();
     instructions(P.LoopIterationInstructions);
     instructions(1);
-    Perf.onLoopIterations(7);
+    HostPerfModel::Sweep(Perf).onLoopIterations(7);
     instructions(7 * P.LoopIterationInstructions);
     instructions(7);
     // A row sweep, a column sweep, and a scalar straddling two lines.
@@ -373,7 +410,8 @@ TEST(PerfModel, HostCyclesEqualInOrderSumOfCharges) {
     Cycles += static_cast<double>(Shadow.accessRange(0x90010, 300));
     // Rows of 100 bytes, strided so they straddle lines differently.
     const uint64_t Rows = 6;
-    Perf.onMemcpyRows(0xA0008, 0x50030, 100, Rows, 160, 200);
+    HostPerfModel::Sweep(Perf).onMemcpyRows(0xA0008, 0x50030, 100, Rows, 160,
+                                            200);
     instructions(copyInstructions(100) * Rows);
     for (uint64_t Row = 0; Row < Rows; ++Row) {
       Cycles += static_cast<double>(
@@ -395,8 +433,8 @@ TEST(PerfModel, HostCyclesEqualInOrderSumOfCharges) {
   EXPECT_EQ(R.CacheMisses, Shadow.getL2Misses());
 }
 
-/// onMemcpyRows promises exactly the counters (and cache state) of Rows
-/// onMemcpy calls over the same rows.
+/// A sweep's onMemcpyRows promises exactly the counters (and cache state)
+/// of Rows onMemcpy calls over the same rows.
 TEST(PerfModel, MemcpyRowsMatchesPerRowMemcpy) {
   SoCParams P;
   HostPerfModel Batched(P), PerRow(P);
@@ -414,8 +452,8 @@ TEST(PerfModel, MemcpyRowsMatchesPerRowMemcpy) {
                           {0x1FC000, 0x200000, 64, 12, 8192, 8192}};
   for (int Pass = 0; Pass < 2; ++Pass) { // the second pass hits
     for (const Block &B : Blocks) {
-      Batched.onMemcpyRows(B.Dst, B.Src, B.RowBytes, B.Rows, B.DstStride,
-                           B.SrcStride);
+      HostPerfModel::Sweep(Batched).onMemcpyRows(
+          B.Dst, B.Src, B.RowBytes, B.Rows, B.DstStride, B.SrcStride);
       for (uint64_t Row = 0; Row < B.Rows; ++Row)
         PerRow.onMemcpy(B.Dst + Row * B.DstStride, B.Src + Row * B.SrcStride,
                         B.RowBytes);
@@ -434,9 +472,9 @@ TEST(PerfModel, ResetClearsEveryCounter) {
   Perf.onArith(2);
   Perf.onBranch();
   Perf.onLoopIteration();
-  Perf.onLoopIterations(3);
+  HostPerfModel::Sweep(Perf).onLoopIterations(3);
   Perf.onMemcpy(0x8000, 0x4000, 256);
-  Perf.onMemcpyRows(0x9000, 0x5000, 64, 2, 128, 128);
+  HostPerfModel::Sweep(Perf).onMemcpyRows(0x9000, 0x5000, 64, 2, 128, 128);
   Perf.onHostCycles(600);
   Perf.onFabricCycles(30);
   Perf.onDmaTransfer(64);
