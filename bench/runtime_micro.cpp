@@ -66,6 +66,39 @@ void BM_CopyToDmaSpecialized(benchmark::State &State) {
                           State.range(0));
 }
 
+/// Operand set-up: one square i32 operand filled by exec::fillRandom.
+void BM_FillRandom(benchmark::State &State) {
+  MemRefDesc A = MemRefDesc::alloc({State.range(0), State.range(0)});
+  uint32_t Seed = 1;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(Seed);
+    exec::fillRandom(A, Seed);
+    benchmark::DoNotOptimize(A.Buffer->Data.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * State.range(0) *
+                          State.range(0));
+}
+
+/// The fixed DMA set-up of a job attempt: dma_init of the 256 KB regions
+/// the matmul configs map, then one 16x16 staging copy and its send.
+void BM_DmaInitAndTile(benchmark::State &State) {
+  auto Soc = makeMatMulSoC(MatMulAccelerator::Version::V3, 16);
+  runtime::DmaRuntime Runtime(*Soc);
+  accel::DmaInitConfig Config;
+  Config.InputBufferSize = 0x40000;
+  Config.OutputBufferSize = 0x40000;
+  MemRefDesc A = MemRefDesc::alloc({16, 16});
+  exec::fillRandom(A, 1);
+  for (auto _ : State) {
+    Runtime.dmaInit(Config);
+    int64_t Off = Runtime.copyLiteralToDmaRegion(opcodes::MM_SA, 0);
+    Off = Runtime.copyToDmaRegion(A, Off);
+    benchmark::DoNotOptimize(Runtime.dmaStartSend(Off, 0));
+    Runtime.dmaWaitSendCompletion();
+  }
+}
+
 void BM_CacheSimAccess(benchmark::State &State) {
   SoCParams Params;
   CacheSim Cache(Params);
@@ -518,6 +551,8 @@ void BM_VerifyPlanConv(benchmark::State &State) {
 
 BENCHMARK(BM_CopyToDmaGeneric)->Arg(8)->Arg(16)->Arg(64);
 BENCHMARK(BM_CopyToDmaSpecialized)->Arg(8)->Arg(16)->Arg(64);
+BENCHMARK(BM_FillRandom)->Arg(32)->Arg(64);
+BENCHMARK(BM_DmaInitAndTile);
 BENCHMARK(BM_CacheSimAccess);
 BENCHMARK(BM_MatMulAcceleratorTile)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_MatMulAcceleratorTileWordwise)->Arg(4)->Arg(8)->Arg(16);

@@ -594,7 +594,7 @@ template <typename CellT> inline uint32_t cellToWordImpl(const CellT &C, bool Is
     return sim::floatToWord(static_cast<float>(
         C.Tag == CellT::Kind::Float ? C.F : static_cast<double>(C.I)));
   return static_cast<uint32_t>(static_cast<int32_t>(
-      C.Tag == CellT::Kind::Float ? static_cast<int64_t>(C.F) : C.I));
+      C.Tag == CellT::Kind::Float ? sim::doubleToInt64(C.F) : C.I));
 }
 
 } // namespace
@@ -650,7 +650,7 @@ LogicalResult ExecPlan::runSpan(const std::vector<Inst> &Code,
         D.F = R;
       } else {
         D.Tag = Cell::Kind::Int;
-        D.I = static_cast<int64_t>(R);
+        D.I = sim::doubleToInt64(R);
       }
       break;
     }

@@ -83,7 +83,7 @@ inline uint32_t cellToWordImpl(const CellT &C, bool IsF32) {
     return sim::floatToWord(static_cast<float>(
         C.Tag == CellT::Kind::Float ? C.F : static_cast<double>(C.I)));
   return static_cast<uint32_t>(static_cast<int32_t>(
-      C.Tag == CellT::Kind::Float ? static_cast<int64_t>(C.F) : C.I));
+      C.Tag == CellT::Kind::Float ? sim::doubleToInt64(C.F) : C.I));
 }
 
 /// Decomposes \p Expr into Const + sum_d Coef[d]*d over the loop dims.
@@ -598,7 +598,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
       D.F = R;
     } else {
       D.Tag = Cell::Kind::Int;
-      D.I = static_cast<int64_t>(R);
+      D.I = sim::doubleToInt64(R);
     }
     ++Ip;
     DISPATCH();
@@ -1149,7 +1149,7 @@ void DecodedProgram::eltwiseKernel(const DecodedGeneric &DG,
         OutWord = sim::floatToWord(static_cast<float>(R));
       else
         OutWord = static_cast<uint32_t>(
-            static_cast<int32_t>(static_cast<int64_t>(R)));
+            static_cast<int32_t>(sim::doubleToInt64(R)));
       Charge.onScalarStore(
           reinterpret_cast<uint64_t>(Kop[Out].Buf + L[Out]), 4);
       Kop[Out].Buf[L[Out]] = OutWord;

@@ -120,8 +120,7 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
     if (Op->getResult(0).getType().isFloat())
       value(Op->getResult(0)) = RuntimeValue::fromFloat(R);
     else
-      value(Op->getResult(0)) =
-          RuntimeValue::fromInt(static_cast<int64_t>(R));
+      value(Op->getResult(0)) = RuntimeValue::fromInt(sim::doubleToInt64(R));
     return success();
   }
   if (Name == "arith.index_cast") {
@@ -198,7 +197,7 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
                       : static_cast<double>(Stored.IntVal)))
             : static_cast<uint32_t>(static_cast<int32_t>(
                   Stored.Tag == RuntimeValue::Kind::Float
-                      ? static_cast<int64_t>(Stored.FloatVal)
+                      ? sim::doubleToInt64(Stored.FloatVal)
                       : Stored.IntVal));
     Desc.Buffer->Data[static_cast<size_t>(Linear)] = Word;
     return success();
@@ -295,7 +294,7 @@ LogicalResult Interpreter::executeLinalgGeneric(Operation *Op) {
                             : static_cast<double>(Yielded.IntVal)))
                   : static_cast<uint32_t>(static_cast<int32_t>(
                         Yielded.Tag == RuntimeValue::Kind::Float
-                            ? static_cast<int64_t>(Yielded.FloatVal)
+                            ? sim::doubleToInt64(Yielded.FloatVal)
                             : Yielded.IntVal));
         }
         break;

@@ -35,7 +35,8 @@ public:
   int64_t copyTile2D(const MemRefDesc &Source, int64_t Row0, int64_t Col0,
                      int64_t Rows, int64_t Cols, int64_t Offset) {
     sim::HostPerfModel &Perf = Soc.perf();
-    uint32_t *Region = Soc.dma().inputRegion();
+    uint32_t *Span = Soc.dma().inputWords(static_cast<size_t>(Offset),
+                                          static_cast<size_t>(Rows * Cols));
     for (int64_t R = 0; R < Rows; ++R) {
       Perf.onLoopIteration();
       for (int64_t C = 0; C < Cols; ++C) {
@@ -43,13 +44,12 @@ public:
         int64_t Linear = Source.linearIndex({Row0 + R, Col0 + C});
         Perf.onArith(1);
         Perf.onScalarLoad(Source.addressOf(Linear), 4);
-        Region[Offset] = Source.Buffer->Data[static_cast<size_t>(Linear)];
-        Perf.onScalarStore(
-            reinterpret_cast<uint64_t>(Region + Offset), 4);
-        ++Offset;
+        *Span = Source.Buffer->Data[static_cast<size_t>(Linear)];
+        Perf.onScalarStore(reinterpret_cast<uint64_t>(Span), 4);
+        ++Span;
       }
     }
-    return Offset;
+    return Offset + Rows * Cols;
   }
 
   /// Accumulates (or overwrites) a rank-2 tile from the output region.
@@ -57,15 +57,16 @@ public:
                   int64_t Rows, int64_t Cols, int64_t Offset,
                   bool Accumulate) {
     sim::HostPerfModel &Perf = Soc.perf();
-    uint32_t *Region = Soc.dma().outputRegion();
+    const uint32_t *Span = Soc.dma().outputWords(
+        static_cast<size_t>(Offset), static_cast<size_t>(Rows * Cols));
     for (int64_t R = 0; R < Rows; ++R) {
       Perf.onLoopIteration();
       for (int64_t C = 0; C < Cols; ++C) {
         Perf.onLoopIteration();
         int64_t Linear = Dest.linearIndex({Row0 + R, Col0 + C});
         Perf.onArith(1);
-        Perf.onScalarLoad(reinterpret_cast<uint64_t>(Region + Offset), 4);
-        uint32_t Word = Region[Offset];
+        Perf.onScalarLoad(reinterpret_cast<uint64_t>(Span), 4);
+        uint32_t Word = *Span++;
         uint32_t &Slot = Dest.Buffer->Data[static_cast<size_t>(Linear)];
         if (Accumulate) {
           Perf.onScalarLoad(Dest.addressOf(Linear), 4);
@@ -79,7 +80,6 @@ public:
           Slot = Word;
         }
         Perf.onScalarStore(Dest.addressOf(Linear), 4);
-        ++Offset;
       }
     }
   }
@@ -265,7 +265,9 @@ bool exec::runManualConv2D(runtime::DmaRuntime &Runtime,
   // Layer-specific bare-array copies (3-deep loops).
   auto copy3D = [&](const MemRefDesc &Source,
                     const std::vector<int64_t> &Base, int64_t Offset) {
-    uint32_t *Region = Runtime.soc().dma().inputRegion();
+    int64_t Words = InChannels * FilterH * FilterW;
+    uint32_t *Span = Runtime.soc().dma().inputWords(
+        static_cast<size_t>(Offset), static_cast<size_t>(Words));
     for (int64_t IC = 0; IC < InChannels; ++IC) {
       Perf.onLoopIteration();
       for (int64_t FH = 0; FH < FilterH; ++FH) {
@@ -276,15 +278,13 @@ bool exec::runManualConv2D(runtime::DmaRuntime &Runtime,
               {Base[0], Base[1] + IC, Base[2] + FH, Base[3] + FW});
           Perf.onArith(1);
           Perf.onScalarLoad(Source.addressOf(Linear), 4);
-          Region[Offset] =
-              Source.Buffer->Data[static_cast<size_t>(Linear)];
-          Perf.onScalarStore(reinterpret_cast<uint64_t>(Region + Offset),
-                             4);
-          ++Offset;
+          *Span = Source.Buffer->Data[static_cast<size_t>(Linear)];
+          Perf.onScalarStore(reinterpret_cast<uint64_t>(Span), 4);
+          ++Span;
         }
       }
     }
-    return Offset;
+    return Offset + Words;
   };
 
   for (int64_t B = 0; B < Batch; ++B) {
@@ -309,21 +309,20 @@ bool exec::runManualConv2D(runtime::DmaRuntime &Runtime,
       Stage.send(Stage.literal(CONV_RO, 0));
       Stage.recv(OutH * OutW);
       {
-        uint32_t *Region = Runtime.soc().dma().outputRegion();
-        int64_t Offset = 0;
+        const uint32_t *Span = Runtime.soc().dma().outputWords(
+            0, static_cast<size_t>(OutH * OutW));
         for (int64_t OH = 0; OH < OutH; ++OH) {
           Perf.onLoopIteration();
           for (int64_t OW = 0; OW < OutW; ++OW) {
             Perf.onLoopIteration();
             int64_t Linear = Output.linearIndex({B, OC, OH, OW});
             Perf.onArith(1);
-            Perf.onScalarLoad(
-                reinterpret_cast<uint64_t>(Region + Offset), 4);
+            Perf.onScalarLoad(reinterpret_cast<uint64_t>(Span), 4);
             Perf.onScalarLoad(Output.addressOf(Linear), 4);
             Perf.onArith(1);
             uint32_t &Slot =
                 Output.Buffer->Data[static_cast<size_t>(Linear)];
-            uint32_t Word = Region[Offset];
+            uint32_t Word = *Span++;
             Slot = Output.kind() == sim::ElemKind::F32
                        ? sim::floatToWord(sim::wordToFloat(Slot) +
                                           sim::wordToFloat(Word))
@@ -331,7 +330,6 @@ bool exec::runManualConv2D(runtime::DmaRuntime &Runtime,
                              static_cast<int32_t>(Slot) +
                              static_cast<int32_t>(Word));
             Perf.onScalarStore(Output.addressOf(Linear), 4);
-            ++Offset;
           }
         }
       }

@@ -16,8 +16,8 @@
 
 #include "runtime/MemRefDesc.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <random>
 
 namespace axi4mlir {
 namespace exec {
@@ -61,17 +61,123 @@ inline void referenceConv2D(const runtime::MemRefDesc &Input,
         }
 }
 
-/// Fills a memref with small deterministic pseudo-random integers (exact
-/// in both i32 and f32 arithmetic, so all paths compare bit-equal).
-inline void fillRandom(runtime::MemRefDesc &Desc, uint32_t Seed) {
-  std::mt19937 Rng(Seed);
-  std::uniform_int_distribution<int32_t> Dist(-4, 4);
-  for (uint32_t &Word : Desc.Buffer->Data) {
-    int32_t V = Dist(Rng);
-    Word = Desc.kind() == sim::ElemKind::F32
-               ? sim::floatToWord(static_cast<float>(V))
-               : static_cast<uint32_t>(V);
+namespace detail {
+
+/// MT19937, the generator of std::mt19937 (same seeding, same word
+/// sequence), producing its words a block of N at a time: one twist of the
+/// whole state, then each state word tempered on demand.
+class MersenneTwister {
+public:
+  static constexpr unsigned N = 624;
+
+  explicit MersenneTwister(uint32_t Seed) {
+    State[0] = Seed;
+    for (unsigned I = 1; I < N; ++I)
+      State[I] = 1812433253u * (State[I - 1] ^ (State[I - 1] >> 30)) + I;
   }
+
+  /// Advances the state to the next block of N words.
+  void twist() {
+    constexpr unsigned M = 397;
+    auto Mix = [](uint32_t Hi, uint32_t Lo) {
+      uint32_t Y = (Hi & 0x80000000u) | (Lo & 0x7fffffffu);
+      return (Y >> 1) ^ ((Y & 1u) ? 0x9908b0dfu : 0u);
+    };
+    unsigned I = 0;
+    for (; I < N - M; ++I)
+      State[I] = State[I + M] ^ Mix(State[I], State[I + 1]);
+    for (; I < N - 1; ++I)
+      State[I] = State[I + M - N] ^ Mix(State[I], State[I + 1]);
+    State[N - 1] = State[M - 1] ^ Mix(State[N - 1], State[0]);
+  }
+
+  /// Word \p I (below N) of the current block.
+  uint32_t word(unsigned I) const {
+    uint32_t Y = State[I];
+    Y ^= Y >> 11;
+    Y ^= (Y << 7) & 0x9d2c5680u;
+    Y ^= (Y << 15) & 0xefc60000u;
+    return Y ^ (Y >> 18);
+  }
+
+private:
+  uint32_t State[N];
+};
+
+/// One operand drawn from a 32-bit generator word.
+struct OperandDraw {
+  int32_t Value;
+  bool Rejected;
+};
+
+/// Maps \p Word onto [-4, 4] the way libstdc++'s
+/// uniform_int_distribution<int32_t>(-4, 4) maps the words of a 32-bit
+/// generator (Lemire's multiply-and-reject): the value is the high half
+/// of the 64-bit product Word * 9, less 4, and a low half below
+/// 2^32 mod 9 = 4 rejects the word, so the distribution draws the next
+/// one. The product is formed from 32-bit halves (Word * 9 = Word * 8 +
+/// Word, the carry out of the low half is Low < Word) so that a run of
+/// words maps in vector registers.
+inline OperandDraw operandFromWord(uint32_t Word) {
+  uint32_t Low = Word * 9u;
+  uint32_t High = (Word >> 29) + (Low < Word ? 1u : 0u);
+  return {static_cast<int32_t>(High) - 4, Low < 4};
+}
+
+template <bool IsF32> uint32_t operandWord(int32_t Value) {
+  if constexpr (IsF32)
+    return sim::floatToWord(static_cast<float>(Value));
+  else
+    return static_cast<uint32_t>(Value);
+}
+
+template <bool IsF32>
+void fillOperands(uint32_t *Out, uint32_t *End, uint32_t Seed) {
+  constexpr unsigned N = MersenneTwister::N;
+  MersenneTwister Rng(Seed);
+  unsigned Next = N; // the next unused word of the current block
+  while (Out != End) {
+    if (Next == N) {
+      Rng.twist();
+      Next = 0;
+    }
+    // A stretch without a rejected word maps word for word; the check
+    // runs once per stretch.
+    size_t Count = std::min<size_t>(N - Next, static_cast<size_t>(End - Out));
+    unsigned Rejected = 0;
+    for (size_t I = 0; I < Count; ++I) {
+      OperandDraw Draw = operandFromWord(Rng.word(Next + I));
+      Rejected |= Draw.Rejected;
+      Out[I] = operandWord<IsF32>(Draw.Value);
+    }
+    if (!Rejected) {
+      Out += Count;
+      Next += Count;
+      continue;
+    }
+    // About one word in 2^30 is rejected: redo the stretch skipping it.
+    for (; Next < N && Out != End; ++Next) {
+      OperandDraw Draw = operandFromWord(Rng.word(Next));
+      if (!Draw.Rejected)
+        *Out++ = operandWord<IsF32>(Draw.Value);
+    }
+  }
+}
+
+} // namespace detail
+
+/// Fills a memref with small deterministic pseudo-random integers (exact
+/// in both i32 and f32 arithmetic, so all paths compare bit-equal). The
+/// values are those std::mt19937(Seed) and libstdc++'s
+/// uniform_int_distribution<int32_t>(-4, 4) draw, on any standard library:
+/// every operand, reference result and checksum depends on them.
+inline void fillRandom(runtime::MemRefDesc &Desc, uint32_t Seed) {
+  uint32_t *Begin = Desc.Buffer->Data.data();
+  uint32_t *End = Begin + Desc.Buffer->Data.size();
+  if (Desc.kind() == sim::ElemKind::F32)
+    detail::fillOperands<true>(Begin, End, Seed);
+  else
+    detail::fillOperands<false>(Begin, End, Seed);
 }
 
 /// True if the two memrefs hold identical logical shapes and values.

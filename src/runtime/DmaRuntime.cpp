@@ -19,8 +19,8 @@ void DmaRuntime::dmaInit(const accel::DmaInitConfig &Config) {
 
 uint64_t DmaRuntime::regionAddress(bool Input, int64_t OffsetWords) const {
   const sim::DmaEngine &Dma = static_cast<const sim::SoC &>(Soc).dma();
-  const uint32_t *Base = Input ? Dma.inputRegion() : Dma.outputRegion();
-  return reinterpret_cast<uint64_t>(Base + OffsetWords);
+  size_t Offset = static_cast<size_t>(OffsetWords);
+  return Input ? Dma.inputAddress(Offset) : Dma.outputAddress(Offset);
 }
 
 /// Range-checks a staging access of \p Words words at \p OffsetWords
@@ -89,7 +89,8 @@ bool DmaRuntime::stage(bool Input, const char *Call, const MemRefDesc &View,
     Dma.signalError(std::string("dma: ") + Call + " before dma_init");
     return false;
   }
-  if (!regionAccessFits(Dma, Input, Call, OffsetWords, View.numElements()))
+  int64_t Words = View.numElements();
+  if (!regionAccessFits(Dma, Input, Call, OffsetWords, Words))
     return false;
   CollapsedView Collapsed(View);
   if (Collapsed.Rank > detail::MaxCopyRank) {
@@ -107,9 +108,11 @@ bool DmaRuntime::stage(bool Input, const char *Call, const MemRefDesc &View,
 
   CopySpan Memory = {View.Buffer->Data.data() + View.Offset,
                      View.addressOf(View.Offset), Collapsed.Strides};
-  CopySpan Region = {
-      (Input ? Dma.inputRegion() : Dma.outputRegion()) + OffsetWords,
-      regionAddress(Input, OffsetWords), RegionStrides};
+  size_t Offset = static_cast<size_t>(OffsetWords);
+  size_t Count = static_cast<size_t>(Words);
+  CopySpan Region = {Input ? Dma.inputWords(Offset, Count)
+                           : Dma.outputWords(Offset, Count),
+                     regionAddress(Input, OffsetWords), RegionStrides};
   StridedCopyRequest Req;
   Req.Rank = Collapsed.Rank;
   Req.Sizes = Collapsed.Sizes;
@@ -140,7 +143,8 @@ int64_t DmaRuntime::copyLiteralToDmaRegion(int32_t Literal,
   if (!regionAccessFits(Soc.dma(), /*Input=*/true,
                         "copy_literal_to_dma_region", OffsetWords, 1))
     return OffsetWords;
-  Soc.dma().inputRegion()[OffsetWords] = static_cast<uint32_t>(Literal);
+  *Soc.dma().inputWords(static_cast<size_t>(OffsetWords), 1) =
+      static_cast<uint32_t>(Literal);
   Soc.perf().onScalarStore(regionAddress(/*Input=*/true, OffsetWords), 4);
   Soc.perf().onArith(1);
   return OffsetWords + 1;

@@ -159,7 +159,7 @@ struct MemRefDesc {
     at(Indices) = kind() == sim::ElemKind::F32
                       ? sim::floatToWord(static_cast<float>(Value))
                       : static_cast<uint32_t>(
-                            static_cast<int32_t>(static_cast<int64_t>(Value)));
+                            static_cast<int32_t>(sim::doubleToInt64(Value)));
   }
 };
 

@@ -34,6 +34,7 @@
 #include "sim/FaultInjector.h"
 #include "sim/Protocol.h"
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -253,13 +254,24 @@ inline uint32_t floatToWord(float Value) {
   return Result;
 }
 
+/// Double -> int64 the way the modeled ARM host's VCVT converts: toward
+/// zero, saturating outside int64, NaN to 0. Equal to static_cast<int64_t>
+/// wherever that cast is defined; every executor and the datapath convert
+/// integer results through it.
+inline int64_t doubleToInt64(double Value) {
+  if (std::fabs(Value) < 0x1p63) // false for NaN and for -2^63 itself
+    return static_cast<int64_t>(Value);
+  if (Value != Value)
+    return 0;
+  return Value < 0 ? INT64_MIN : INT64_MAX;
+}
+
 /// Element value -> stream word, matching the reference emission path.
 template <ElemKind Kind> inline uint32_t valueToWord(double Value) {
   if constexpr (Kind == ElemKind::F32)
     return floatToWord(static_cast<float>(Value));
   else
-    return static_cast<uint32_t>(
-        static_cast<int32_t>(static_cast<int64_t>(Value)));
+    return static_cast<uint32_t>(static_cast<int32_t>(doubleToInt64(Value)));
 }
 
 } // namespace sim

@@ -20,16 +20,51 @@
 
 #include "sim/DmaEngine.h"
 
+#include <cstring>
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#define ASAN_UNPOISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#endif
+
 using namespace axi4mlir;
 using namespace axi4mlir::sim;
+
+DmaEngine::StagingRegion::~StagingRegion() {
+  if (Data)
+    CacheLineAllocator<uint32_t>().deallocate(Data, Capacity);
+}
+
+void DmaEngine::StagingRegion::reset(size_t Words) {
+  if (Words > Capacity) {
+    CacheLineAllocator<uint32_t> Alloc;
+    uint32_t *Fresh = Alloc.allocate(Words);
+    if (Data)
+      Alloc.deallocate(Data, Capacity);
+    Data = Fresh;
+    Capacity = Words;
+  }
+  Size = Words;
+  Touched = 0;
+  ASAN_POISON_MEMORY_REGION(Data, Capacity * sizeof(uint32_t));
+}
+
+void DmaEngine::StagingRegion::materialize(size_t End) {
+  size_t Bytes = (End - Touched) * sizeof(uint32_t);
+  ASAN_UNPOISON_MEMORY_REGION(Data + Touched, Bytes);
+  std::memset(Data + Touched, 0, Bytes);
+  Touched = End;
+}
 
 void DmaEngine::init(const accel::DmaInitConfig &Config) {
   // Buffer sizes are given in bytes in the config (paper Fig. 6a:
   // inputBufferSize = 0xFF00).
   size_t InputWords = static_cast<size_t>(Config.InputBufferSize) / 4;
   size_t OutputWords = static_cast<size_t>(Config.OutputBufferSize) / 4;
-  InputRegion.assign(std::max<size_t>(InputWords, 1), 0);
-  OutputRegion.assign(std::max<size_t>(OutputWords, 1), 0);
+  Input.reset(std::max<size_t>(InputWords, 1));
+  Output.reset(std::max<size_t>(OutputWords, 1));
   Initialized = true;
   // A new logical session: bursts staged before this init are gone, so the
   // replay log must not resurrect them.
@@ -90,7 +125,7 @@ AccelStatus DmaEngine::startSend(size_t Words, size_t OffsetWords) {
     signalError("dma: dma_start_send before dma_init");
     return latch(AccelStatus::Fatal);
   }
-  if (OffsetWords + Words > InputRegion.size()) {
+  if (OffsetWords > Input.size() || Words > Input.size() - OffsetWords) {
     signalError("dma: send burst exceeds the input staging region");
     return latch(AccelStatus::Fatal);
   }
@@ -104,7 +139,7 @@ AccelStatus DmaEngine::startSend(size_t Words, size_t OffsetWords) {
   if (!Injector) {
     // The fault-free fast path: one burst at line rate, compute harvested
     // onto the same timeline (blocking driver).
-    ActiveAccel->consumeBurst(InputRegion.data() + OffsetWords, Words);
+    ActiveAccel->consumeBurst(Input.words(OffsetWords, Words), Words);
     if (Perf)
       chargeComputeCycles(ActiveAccel->takeComputeCycles(), /*Replay=*/false);
     return status();
@@ -114,7 +149,7 @@ AccelStatus DmaEngine::startSend(size_t Words, size_t OffsetWords) {
 
 AccelStatus DmaEngine::sendWithRecovery(size_t Words, size_t OffsetWords) {
   const RecoveryPolicy &Policy = Injector->recovery();
-  const uint32_t *Data = InputRegion.data() + OffsetWords;
+  const uint32_t *Data = Input.words(OffsetWords, Words);
   // Words of this burst the accelerator has absorbed; each attempt streams
   // the unabsorbed suffix.
   size_t Done = 0;
@@ -308,7 +343,7 @@ AccelStatus DmaEngine::startRecv(size_t Words, size_t OffsetWords) {
     signalError("dma: dma_start_recv before dma_init");
     return latch(AccelStatus::Fatal);
   }
-  if (OffsetWords + Words > OutputRegion.size()) {
+  if (OffsetWords > Output.size() || Words > Output.size() - OffsetWords) {
     signalError("dma: recv burst exceeds the output staging region");
     return latch(AccelStatus::Fatal);
   }
@@ -324,7 +359,7 @@ AccelStatus DmaEngine::startRecv(size_t Words, size_t OffsetWords) {
     return latch(AccelStatus::Fatal);
   }
   // Results drain straight into the staging region, no intermediate copy.
-  ActiveAccel->drainOutputInto(OutputRegion.data() + OffsetWords, Words);
+  ActiveAccel->drainOutputInto(Output.words(OffsetWords, Words), Words);
   if (Injector && Injector->recovery().Enabled)
     DrainedWords += Words;
   return status();

@@ -37,6 +37,7 @@
 #include "sim/PerfModel.h"
 #include "support/AlignedAlloc.h"
 
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -52,16 +53,29 @@ public:
   /// Maps the staging regions and configures the engine (one-time cost).
   /// Starts a fresh logical session: the replay log and drain bookkeeping
   /// reset (region sizes may change), error/status state is preserved.
+  /// The regions are sized, not filled: every word of the new session
+  /// reads as zero until it is written (see StagingRegion).
   void init(const accel::DmaInitConfig &Config);
   bool isInitialized() const { return Initialized; }
 
-  /// Host-visible staging buffers (word-addressed).
-  uint32_t *inputRegion() { return InputRegion.data(); }
-  const uint32_t *inputRegion() const { return InputRegion.data(); }
-  size_t inputRegionWords() const { return InputRegion.size(); }
-  uint32_t *outputRegion() { return OutputRegion.data(); }
-  const uint32_t *outputRegion() const { return OutputRegion.data(); }
-  size_t outputRegionWords() const { return OutputRegion.size(); }
+  /// The host-visible staging buffers (word-addressed). These two span
+  /// accessors are the only way into region memory: each returns the
+  /// \p Count words at \p Offset after zeroing those the session has not
+  /// handed out yet. The span must lie inside the region.
+  uint32_t *inputWords(size_t Offset, size_t Count) {
+    return Input.words(Offset, Count);
+  }
+  uint32_t *outputWords(size_t Offset, size_t Count) {
+    return Output.words(Offset, Count);
+  }
+  /// Host address of word \p Offset, for the cache model. Materializes
+  /// nothing.
+  uint64_t inputAddress(size_t Offset) const { return Input.address(Offset); }
+  uint64_t outputAddress(size_t Offset) const {
+    return Output.address(Offset);
+  }
+  size_t inputRegionWords() const { return Input.size(); }
+  size_t outputRegionWords() const { return Output.size(); }
 
   /// Streams \p Words words starting at \p OffsetWords of the input region
   /// to the accelerator. With an injector attached this is where faults
@@ -132,6 +146,51 @@ public:
   bool cpuFallbackActive() const { return CpuFallbackActive; }
 
 private:
+  /// One staging region: storage and a first-touch watermark. Every word
+  /// below the watermark has been handed out in the current session and
+  /// holds zero or what was written since; every word at or above it is
+  /// hidden and holds whatever an earlier session left. A span reaching
+  /// past the watermark zeroes the words in between first, so the region
+  /// reads exactly like one zero-filled at dma_init while set-up costs
+  /// only what a run touches. Under AddressSanitizer the hidden words are
+  /// poisoned.
+  ///
+  /// The cache model keys on real addresses, so the allocation pattern is
+  /// part of every cache-derived counter: storage is line-aligned
+  /// (support/AlignedAlloc.h), and reset() allocates only when a session
+  /// needs more words than the storage holds, exactly that many, the new
+  /// storage before the old is freed.
+  class StagingRegion {
+  public:
+    StagingRegion() = default;
+    StagingRegion(const StagingRegion &) = delete;
+    StagingRegion &operator=(const StagingRegion &) = delete;
+    ~StagingRegion();
+
+    /// Starts a session of \p Words words, all of them hidden.
+    void reset(size_t Words);
+    size_t size() const { return Size; }
+    uint64_t address(size_t Offset) const {
+      return reinterpret_cast<uint64_t>(Data + Offset);
+    }
+    uint32_t *words(size_t Offset, size_t Count) {
+      assert(Offset <= Size && Count <= Size - Offset &&
+             "span outside the staging region");
+      if (Offset + Count > Touched)
+        materialize(Offset + Count);
+      return Data + Offset;
+    }
+
+  private:
+    /// Zeroes the hidden words below \p End and moves the watermark there.
+    void materialize(size_t End);
+
+    uint32_t *Data = nullptr;
+    size_t Size = 0;
+    size_t Capacity = 0;
+    size_t Touched = 0; ///< the first-touch watermark
+  };
+
   AccelStatus latch(AccelStatus Status) {
     if (Sticky == AccelStatus::Ok && Status != AccelStatus::Ok)
       Sticky = Status;
@@ -164,14 +223,9 @@ private:
   HostPerfModel *Perf;
   AcceleratorModel *Accel;       ///< the primary unit
   AcceleratorModel *ActiveAccel; ///< the unit currently bound to the stream
-  // Line-aligned so the cache model's line-touch counts don't depend on
-  // where the heap places the staging regions (support/AlignedAlloc.h).
-  AlignedVector<uint32_t> InputRegion;
-  AlignedVector<uint32_t> OutputRegion;
-  bool Initialized = false;
-  bool ErrorFlag = false;
+  StagingRegion Input;
+  StagingRegion Output;
   std::string ErrorText;
-  AccelStatus Sticky = AccelStatus::Ok;
 
   // Recovery state (only populated while an injector is attached).
   FaultInjector *Injector = nullptr;
@@ -186,6 +240,12 @@ private:
   std::vector<std::vector<uint32_t>> ReplayLog;
   /// Output words already drained by recvs (discarded again after replay).
   size_t DrainedWords = 0;
+
+  // The flags share the last word, so the watermarks cost sizeof(SoC)
+  // nothing and it keeps its malloc size class.
+  AccelStatus Sticky = AccelStatus::Ok;
+  bool Initialized = false;
+  bool ErrorFlag = false;
   bool CpuFallbackActive = false;
   /// Set after failover/fallback: the replacement unit is healthy and the
   /// remaining schedule no longer applies.

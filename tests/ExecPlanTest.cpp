@@ -23,6 +23,7 @@
 #include "exec/Reference.h"
 #include "exec/opt/PlanOpt.h"
 
+#include <cmath>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -356,6 +357,46 @@ TEST(ExecPlan, DiagnosticsMatchWalker) {
   Interpreter Walker(*Soc, nullptr, ExecMode::Walker);
   EXPECT_TRUE(failed(Walker.run(Func, {}, WalkerError)));
   EXPECT_EQ(PlanError, WalkerError);
+}
+
+/// An integer result the double arithmetic cannot fit in int64 converts
+/// the way the modeled ARM host's VCVT does, in every executor: muli and
+/// addi of INT64_MAX compute 2^126 and 2^64, which both saturate to
+/// INT64_MAX (a plain cast is undefined there and aborts under
+/// -fsanitize=float-cast-overflow). The i32 stores keep its low word.
+TEST(ExecPlan, IntegerResultsBeyondInt64Saturate) {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  MemRefType Ty = MemRefType::get(&Context, {2}, Type::getI32(&Context));
+  func::FuncOp Func = func::FuncOp::create(Builder, "f", {Ty});
+  OwningOpRef Owner(Func.getOperation());
+  Builder.setInsertionPointToEnd(&Func.getBody());
+  Value Max = arith::ConstantOp::createIndex(Builder, INT64_MAX).getResult();
+  Value C0 = arith::ConstantOp::createIndex(Builder, 0).getResult();
+  Value C1 = arith::ConstantOp::createIndex(Builder, 1).getResult();
+  Value Product =
+      arith::BinaryOp::create(Builder, "arith.muli", Max, Max).getResult();
+  Value Sum =
+      arith::BinaryOp::create(Builder, "arith.addi", Max, Max).getResult();
+  for (auto [Result, Index] : {std::pair{Product, C0}, std::pair{Sum, C1}}) {
+    Value Word =
+        arith::IndexCastOp::create(Builder, Result, Builder.getI32Type())
+            .getResult();
+    memref::StoreOp::create(Builder, Word, Func.getArgument(0), {Index});
+  }
+  func::ReturnOp::create(Builder);
+
+  auto Soc = sim::makeCpuOnlySoC();
+  std::vector<MemRefDesc> Args = {MemRefDesc::alloc({2})};
+  checkExecutorsAgree(Func, *Soc, nullptr, Args, 1);
+  EXPECT_EQ(Args[0].Buffer->Data[0], 0xFFFFFFFFu);
+  EXPECT_EQ(Args[0].Buffer->Data[1], 0xFFFFFFFFu);
+  EXPECT_EQ(sim::doubleToInt64(0x1p126), INT64_MAX);
+  EXPECT_EQ(sim::doubleToInt64(-0x1p64), INT64_MIN);
+  EXPECT_EQ(sim::doubleToInt64(std::nan("")), 0);
+  EXPECT_EQ(sim::doubleToInt64(-0x1p63), INT64_MIN);
+  EXPECT_EQ(sim::doubleToInt64(-2.75), -2);
 }
 
 /// Runs a 16x16x16 v3-8 Ns driver that dies at a transfer through the

@@ -13,6 +13,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/Pipeline.h"
+#include "exec/Reference.h"
+
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -237,6 +240,93 @@ TEST(Pipeline, FailedRunReportsItsCounters) {
     EXPECT_GE(Result.Report.FaultsInjected, 1u);
     EXPECT_GT(Result.Report.Instructions, 0u);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Operand values
+//===----------------------------------------------------------------------===//
+
+uint32_t operandWord(int32_t Value, sim::ElemKind Kind) {
+  return Kind == sim::ElemKind::F32
+             ? sim::floatToWord(static_cast<float>(Value))
+             : static_cast<uint32_t>(Value);
+}
+
+/// Every operand, reference result and checksum depends on fillRandom's
+/// words; they are std::mt19937's words mapped by libstdc++'s
+/// uniform_int_distribution<int32_t>(-4, 4). The lengths straddle the
+/// generator's 624-word blocks. Seeds 581776 and 1590887 reject a word of
+/// their first block (words 127 and 606), which shifts every later value
+/// by one word.
+TEST(FillRandom, MatchesTheStandardLibraryDraws) {
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "the reference mapping is libstdc++'s";
+#else
+  for (uint32_t Seed : {0u, 1u, 91u, 0xFFFFFFFFu, 581776u, 1590887u}) {
+    for (int64_t Length : {1, 623, 624, 625, 1249, 4097}) {
+      for (sim::ElemKind Kind : {sim::ElemKind::I32, sim::ElemKind::F32}) {
+        SCOPED_TRACE("seed " + std::to_string(Seed) + ", length " +
+                     std::to_string(Length) + ", " +
+                     (Kind == sim::ElemKind::F32 ? "f32" : "i32"));
+        runtime::MemRefDesc Desc = runtime::MemRefDesc::alloc({Length}, Kind);
+        fillRandom(Desc, Seed);
+        std::mt19937 Rng(Seed);
+        std::uniform_int_distribution<int32_t> Dist(-4, 4);
+        for (int64_t I = 0; I < Length; ++I)
+          ASSERT_EQ(Desc.Buffer->Data[static_cast<size_t>(I)],
+                    operandWord(Dist(Rng), Kind))
+              << "word " << I;
+      }
+    }
+  }
+#endif
+}
+
+/// A word whose product with 9 has a low half below 2^32 mod 9 = 4 is
+/// rejected and the next word drawn (the odds are 4 in 2^32). A scripted
+/// source forces four rejections, two in a row twice: 954437177 * 9 =
+/// 2^33 + 1, 0, and the words leaving low halves 2 and 3.
+TEST(FillRandom, RejectedWordsMatchTheStandardLibrary) {
+  const std::vector<uint32_t> Script = {
+      954437177u, 0u,          5u,         1908874354u, 2863311531u,
+      0xFFFFFFFFu, 2863311532u, 477218588u, 477218589u,  954437178u};
+  const std::vector<int32_t> Expected = {-4, 4, 2, -4, -3, -2};
+  size_t Next = 0;
+  std::vector<int32_t> Drawn;
+  while (Next < Script.size()) {
+    exec::detail::OperandDraw Draw =
+        exec::detail::operandFromWord(Script[Next++]);
+    if (!Draw.Rejected)
+      Drawn.push_back(Draw.Value);
+  }
+  EXPECT_EQ(Drawn, Expected);
+#ifdef __GLIBCXX__
+  struct ScriptedSource {
+    using result_type = uint32_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return 0xFFFFFFFFu; }
+    const std::vector<uint32_t> &Words;
+    size_t Next = 0;
+    result_type operator()() { return Words.at(Next++); }
+  } Source{Script};
+  std::uniform_int_distribution<int32_t> Dist(-4, 4);
+  std::vector<int32_t> Library;
+  for (size_t I = 0; I < Expected.size(); ++I)
+    Library.push_back(Dist(Source));
+  EXPECT_EQ(Library, Expected);
+  EXPECT_EQ(Source.Next, Script.size());
+#endif
+}
+
+/// The values themselves, so they hold on any standard library.
+TEST(FillRandom, SeedOnePrefixIsPinned) {
+  runtime::MemRefDesc Desc = runtime::MemRefDesc::alloc({16});
+  fillRandom(Desc, 1);
+  const int32_t Prefix[] = {-1, 4,  2,  4,  -4, -3, -2, 4,
+                            -3, -2, -4, -1, -3, -1, -1, 2};
+  for (size_t I = 0; I < 16; ++I)
+    EXPECT_EQ(static_cast<int32_t>(Desc.Buffer->Data[I]), Prefix[I])
+        << "word " << I;
 }
 
 } // namespace

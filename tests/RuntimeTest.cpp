@@ -214,7 +214,7 @@ TEST(DmaRuntime, LiteralAndOffsetChaining) {
       Tile.write({I, J}, I * 3 + J);
   Off = Runtime.copyToDmaRegion(Tile, Off);
   EXPECT_EQ(Off, 7); // 1 literal + 6 elements
-  uint32_t *Region = Soc->dma().inputRegion();
+  uint32_t *Region = Soc->dma().inputWords(0, 7);
   EXPECT_EQ(Region[0], 0x22u);
   for (int I = 0; I < 6; ++I)
     EXPECT_EQ(static_cast<int32_t>(Region[1 + I]), I);
@@ -230,7 +230,7 @@ TEST(DmaRuntime, StridedCopyLinearizesRowMajor) {
       Full.write({I, J}, I * 10 + J);
   MemRefDesc Tile = Full.subview({2, 4}, {3, 2});
   Runtime.copyToDmaRegion(Tile, 0);
-  uint32_t *Region = Soc->dma().inputRegion();
+  uint32_t *Region = Soc->dma().inputWords(0, 6);
   int32_t Expected[] = {24, 25, 34, 35, 44, 45};
   for (int I = 0; I < 6; ++I)
     EXPECT_EQ(static_cast<int32_t>(Region[I]), Expected[I]);
@@ -252,8 +252,8 @@ TEST(DmaRuntime, SpecializationIsBitExact) {
       RuntimeRef.dmaInit(bigRegions());
       RuntimeRef.copyToDmaRegion(Tile, 0);
       for (int I = 0; I < 64; ++I)
-        EXPECT_EQ(Soc->dma().inputRegion()[I],
-                  SocRef->dma().inputRegion()[I]);
+        EXPECT_EQ(Soc->dma().inputWords(0, 64)[I],
+                  SocRef->dma().inputWords(0, 64)[I]);
     }
   }
 }
@@ -294,7 +294,7 @@ TEST(DmaRuntime, NonContiguousFallsBackToElementwise) {
   Column.Sizes = {4};
   Column.Strides = {4}; // column 1
   Runtime.copyToDmaRegion(Column, 0);
-  uint32_t *Region = Soc->dma().inputRegion();
+  uint32_t *Region = Soc->dma().inputWords(0, 4);
   int32_t Expected[] = {1, 5, 9, 13};
   for (int I = 0; I < 4; ++I)
     EXPECT_EQ(static_cast<int32_t>(Region[I]), Expected[I]);
@@ -304,7 +304,7 @@ TEST(DmaRuntime, CopyFromDmaOverwriteAndAccumulate) {
   auto Soc = makeBoard();
   DmaRuntime Runtime(*Soc);
   Runtime.dmaInit(bigRegions());
-  uint32_t *Out = Soc->dma().outputRegion();
+  uint32_t *Out = Soc->dma().outputWords(0, 4);
   for (int I = 0; I < 4; ++I)
     Out[I] = static_cast<uint32_t>(10 + I);
 
@@ -323,7 +323,7 @@ TEST(DmaRuntime, AccumulateFloat) {
                            ElemKind::F32);
   DmaRuntime Runtime(*Soc);
   Runtime.dmaInit(bigRegions());
-  Soc->dma().outputRegion()[0] = floatToWord(1.25f);
+  *Soc->dma().outputWords(0, 1) = floatToWord(1.25f);
   MemRefDesc Dest = MemRefDesc::alloc({1}, ElemKind::F32);
   Dest.write({0}, 0.25);
   Runtime.copyFromDmaRegion(Dest, 0, /*Accumulate=*/true);
@@ -341,7 +341,7 @@ TEST(DmaRuntime, UnitDimCollapseKeepsSemantics) {
   MemRefDesc Window = Input.subview({0, 0, 1, 2}, {1, 4, 1, 1});
   Runtime.copyToDmaRegion(Window, 0);
   for (int I = 0; I < 4; ++I)
-    EXPECT_EQ(static_cast<int32_t>(Soc->dma().inputRegion()[I]), 50 + I);
+    EXPECT_EQ(static_cast<int32_t>(Soc->dma().inputWords(0, 4)[I]), 50 + I);
 }
 
 /// Staging copies are range-checked before they touch a region: an access
@@ -361,13 +361,13 @@ TEST(DmaRuntime, StagingCopiesPastTheRegionAreRefused) {
   // A whole 16-word tile fits at offset 0 but not one word further.
   EXPECT_EQ(Runtime.copyToDmaRegion(Tile, 0), 16);
   EXPECT_EQ(Runtime.status(), AccelStatus::Ok);
-  Soc->dma().inputRegion()[15] = 0xABCD;
+  *Soc->dma().inputWords(15, 1) = 0xABCD;
   EXPECT_EQ(Runtime.copyToDmaRegion(Tile, 1), 1);
   EXPECT_EQ(Runtime.status(), AccelStatus::Fatal);
   EXPECT_EQ(Runtime.errorMessage(),
             "dma: copy_to_dma_region of 16 word(s) at offset 1 exceeds the "
             "input staging region (16 words)");
-  EXPECT_EQ(Soc->dma().inputRegion()[15], 0xABCDu);
+  EXPECT_EQ(*Soc->dma().inputWords(15, 1), 0xABCDu);
 
   for (int64_t Offset : {int64_t(16), int64_t(-1)}) {
     auto Fresh = makeBoard();
@@ -419,7 +419,8 @@ TEST(DmaRuntime, StagingCopiesBeyondTheRankCapAreRefused) {
   EXPECT_EQ(Rt.status(), AccelStatus::Fatal);
   EXPECT_EQ(Rt.errorMessage(), "dma: copy_to_dma_region of rank 17 exceeds "
                                "the supported copy rank (16)");
-  EXPECT_TRUE(regionIsZero(Soc->dma().inputRegion(), Deep.numElements()));
+  EXPECT_TRUE(regionIsZero(Soc->dma().inputWords(0, Deep.numElements()),
+                           Deep.numElements()));
 
   auto Fresh = makeBoard();
   DmaRuntime FreshRt(*Fresh);
@@ -441,7 +442,7 @@ TEST(DmaRuntime, StagingCopiesBeyondTheRankCapAreRefused) {
   EXPECT_EQ(AtCapRt.status(), AccelStatus::Ok);
   EXPECT_TRUE(std::equal(AtCap.Buffer->Data.begin(),
                          AtCap.Buffer->Data.end(),
-                         Board->dma().inputRegion()));
+                         Board->dma().inputWords(0, AtCap.numElements())));
 }
 
 TEST(DmaRuntime, EndToEndSendComputeRecv) {
@@ -472,6 +473,106 @@ TEST(DmaRuntime, EndToEndSendComputeRecv) {
 
   ASSERT_FALSE(Runtime.hadError()) << Runtime.errorMessage();
   EXPECT_TRUE(exec::memrefEquals(Expected, C));
+}
+
+//===----------------------------------------------------------------------===//
+// First-touch staging regions
+//===----------------------------------------------------------------------===//
+//
+// dma_init sizes the staging regions without zero-filling them; a word
+// reads as zero until the session writes it (docs/ARCHITECTURE.md, "The
+// first-touch rule"). Each case first leaves every word of an earlier
+// session non-zero, so a region that leaked stale memory would show it.
+
+accel::DmaInitConfig regionsOfWords(int64_t Words) {
+  accel::DmaInitConfig Config;
+  Config.InputBufferSize = Config.OutputBufferSize = Words * 4;
+  return Config;
+}
+
+/// Writes \p Word into every word of both regions.
+void scribble(DmaEngine &Dma, uint32_t Word) {
+  std::fill_n(Dma.inputWords(0, Dma.inputRegionWords()),
+              Dma.inputRegionWords(), Word);
+  std::fill_n(Dma.outputWords(0, Dma.outputRegionWords()),
+              Dma.outputRegionWords(), Word);
+}
+
+bool allZero(const uint32_t *Words, size_t Count) {
+  return std::all_of(Words, Words + Count,
+                     [](uint32_t Word) { return Word == 0; });
+}
+
+TEST(FirstTouchRegion, NeverStagedWordsSendAsZeros) {
+  // v1-4 computes C = A x B on one opcode; B is never staged, so C is 0
+  // (stale ones would make every element 4).
+  auto Soc = makeMatMulSoC(MatMulAccelerator::Version::V1, 4);
+  DmaRuntime Runtime(*Soc);
+  Runtime.dmaInit(regionsOfWords(1024));
+  scribble(Soc->dma(), 1);
+  Runtime.dmaInit(regionsOfWords(1024));
+  MemRefDesc A = MemRefDesc::alloc({4, 4});
+  for (uint32_t &Word : A.Buffer->Data)
+    Word = 1;
+  int64_t Off = Runtime.copyLiteralToDmaRegion(opcodes::MM_SASBCCRC, 0);
+  Off = Runtime.copyToDmaRegion(A, Off);
+  EXPECT_EQ(Runtime.dmaStartSend(Off + 16, 0), AccelStatus::Ok);
+  EXPECT_EQ(Runtime.dmaStartRecv(16, 0), AccelStatus::Ok);
+  MemRefDesc C = MemRefDesc::alloc({4, 4});
+  for (uint32_t &Word : C.Buffer->Data)
+    Word = 9;
+  Runtime.copyFromDmaRegion(C, 0, /*Accumulate=*/false);
+  ASSERT_FALSE(Runtime.hadError()) << Runtime.errorMessage();
+  EXPECT_TRUE(allZero(C.Buffer->Data.data(), 16));
+}
+
+TEST(FirstTouchRegion, CopyBackFromAnUnwrittenOffsetReadsZeros) {
+  auto Soc = makeBoard();
+  DmaRuntime Runtime(*Soc);
+  Runtime.dmaInit(regionsOfWords(512));
+  scribble(Soc->dma(), 0xDEADBEEF);
+  Runtime.dmaInit(regionsOfWords(512));
+  MemRefDesc Dest = MemRefDesc::alloc({2, 3});
+  for (uint32_t &Word : Dest.Buffer->Data)
+    Word = 7;
+  Runtime.copyFromDmaRegion(Dest, 300, /*Accumulate=*/true);
+  for (uint32_t Word : Dest.Buffer->Data)
+    EXPECT_EQ(Word, 7u);
+  Runtime.copyFromDmaRegion(Dest, 300, /*Accumulate=*/false);
+  EXPECT_TRUE(allZero(Dest.Buffer->Data.data(), 6));
+  ASSERT_FALSE(Runtime.hadError()) << Runtime.errorMessage();
+}
+
+TEST(FirstTouchRegion, SecondInitHidesTheFirstSession) {
+  // Grow (new storage), shrink and keep the size (storage reused).
+  auto Soc = makeBoard();
+  DmaRuntime Runtime(*Soc);
+  for (int64_t Words : {64, 4096, 16, 16, 4096}) {
+    SCOPED_TRACE(Words);
+    Runtime.dmaInit(regionsOfWords(Words));
+    DmaEngine &Dma = Soc->dma();
+    ASSERT_EQ(Dma.inputRegionWords(), static_cast<size_t>(Words));
+    ASSERT_EQ(Dma.outputRegionWords(), static_cast<size_t>(Words));
+    EXPECT_TRUE(allZero(Dma.inputWords(0, Words), Words));
+    EXPECT_TRUE(allZero(Dma.outputWords(0, Words), Words));
+    scribble(Dma, 0xFFFFFFFF);
+  }
+}
+
+TEST(FirstTouchRegion, HighOffsetStagingLeavesAZeroGap) {
+  auto Soc = makeBoard();
+  DmaRuntime Runtime(*Soc);
+  Runtime.dmaInit(regionsOfWords(512));
+  scribble(Soc->dma(), 0xFFFFFFFF);
+  Runtime.dmaInit(regionsOfWords(512));
+  MemRefDesc Tile = MemRefDesc::alloc({4, 4});
+  exec::fillRandom(Tile, 7);
+  EXPECT_EQ(Runtime.copyToDmaRegion(Tile, 200), 216);
+  DmaEngine &Dma = Soc->dma();
+  EXPECT_TRUE(allZero(Dma.inputWords(0, 200), 200));
+  EXPECT_TRUE(std::equal(Tile.Buffer->Data.begin(), Tile.Buffer->Data.end(),
+                         Dma.inputWords(200, 16)));
+  EXPECT_TRUE(allZero(Dma.inputWords(216, 512 - 216), 512 - 216));
 }
 
 } // namespace

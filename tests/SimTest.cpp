@@ -728,7 +728,7 @@ TEST(DmaEngine, TransfersAndAccounting) {
   Soc->dma().init(Config);
   ASSERT_TRUE(Soc->dma().isInitialized());
 
-  uint32_t *In = Soc->dma().inputRegion();
+  uint32_t *In = Soc->dma().inputWords(0, 33);
   In[0] = MM_SASBCCRC;
   for (int I = 0; I < 32; ++I)
     In[1 + I] = 1;
@@ -738,12 +738,42 @@ TEST(DmaEngine, TransfersAndAccounting) {
   Soc->dma().waitRecvCompletion();
   EXPECT_FALSE(Soc->dma().hadError()) << Soc->dma().errorMessage();
   for (int I = 0; I < 16; ++I)
-    EXPECT_EQ(static_cast<int32_t>(Soc->dma().outputRegion()[I]), 4);
+    EXPECT_EQ(static_cast<int32_t>(Soc->dma().outputWords(0, 16)[I]), 4);
 
   PerfReport R = Soc->report();
   EXPECT_EQ(R.DmaTransfers, 2u);
   EXPECT_EQ(R.DmaBytesMoved, (33u + 16u) * 4u);
   EXPECT_GT(R.FabricCycles, 0.0);
+}
+
+// A transfer whose offset lies past the region is refused even when
+// offset + length wraps around (a negative offset from a driver).
+TEST(DmaEngine, TransfersPastTheRegionAreRefused) {
+  for (bool Send : {true, false}) {
+    auto Soc = makeMatMulSoC(MatMulAccelerator::Version::V1, 4);
+    accel::DmaInitConfig Config;
+    Config.InputBufferSize = Config.OutputBufferSize = 64;
+    Soc->dma().init(Config);
+    AccelStatus Status = Send ? Soc->dma().startSend(1, SIZE_MAX)
+                              : Soc->dma().startRecv(1, SIZE_MAX);
+    EXPECT_EQ(Status, AccelStatus::Fatal);
+    EXPECT_EQ(Soc->dma().errorMessage(),
+              Send ? "dma: send burst exceeds the input staging region"
+                   : "dma: recv burst exceeds the output staging region");
+  }
+}
+
+// The cache model keys on real heap addresses, so the SoC must keep its
+// malloc size class: glibc serves requests of 985 to 1000 bytes from one
+// 1008-byte chunk. A larger SoC moves every buffer allocated after it and
+// with them the cache-derived counters of the figures.
+TEST(SoC, KeepsItsMallocSizeClass) {
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+  EXPECT_GT(sizeof(SoC), 984u);
+  EXPECT_LE(sizeof(SoC), 1000u);
+#else
+  GTEST_SKIP() << "the size class is pinned for libstdc++ on x86-64";
+#endif
 }
 
 // Formerly Release-stripped asserts: using the DMA engine before
